@@ -1,20 +1,23 @@
 """Exact and budgeted 0/1 maximization of w.x subject to A.x <= r.u.
 
-Depth-first branch and bound, 1-branch first, with an LP-relaxation bound
-(scipy/HiGHS, floor(value + 1e-6) for a safe integer bound), a
-per-row fractional-knapsack fallback bound for LP failures, and
-most-fractional branching.  Incumbents come from a descending-weight
-greedy warm start improved by 1-flip/1-swap local search, followed by a
-seeded ruin-and-recreate phase whose restart and iteration counts depend
-only on the budget value, so deterministic runs replay bit-identically.
-A chunked exhaustive oracle covers tiny instances.  Budget exhaustion is
-reported as a Timeout status, never an error.  The optional thread pool
-only shares a monotone incumbent.
+Depth-first branch and bound, 1-branch first, with most-fractional
+branching.  Each search keeps one HiGHS LP relaxation and changes one
+column's bounds per step, so every node re-solves warm from the previous
+basis.  No node is pruned on a float: an LP bound is the integer safe
+bound of Neumaier and Shcherbina (Math. Prog. 99, 2004), computed in
+int64 from the scaled, floored row duals, and infeasible fixings are
+caught by integer row loads.  When HiGHS reports no optimum the node
+branches on its heaviest free variable.  Incumbents come from a
+descending-weight greedy warm start improved by 1-flip/1-swap local
+search, followed by a seeded ruin-and-recreate phase whose restart and
+iteration counts depend only on the budget value, so deterministic runs
+replay bit-identically.  A chunked exhaustive oracle covers tiny
+instances.  Budget exhaustion is reported as a Timeout status, never an
+error.  The optional thread pool only shares a monotone incumbent.
 """
 
 from __future__ import annotations
 
-import math
 import random
 import threading
 import time
@@ -22,7 +25,11 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import linprog
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:  # the pybind11 HiGHS bindings arrived in scipy 1.15
+    raise ImportError("pgarcs needs scipy>=1.15 for its HiGHS bindings") from exc
 
 from .condense import CondensedSystem
 from .errors import BudgetExceededError
@@ -45,6 +52,7 @@ TIMEOUT = "Timeout"
 ORACLE_MAX_VARS = 25
 LP_ROUND_EPS = 1e-6
 LP_TOL = 1e-9
+CERT_BITS = 20  # row duals are scaled by 2**CERT_BITS and floored
 
 
 class IlpModel:
@@ -66,9 +74,6 @@ class IlpModel:
             tuple((i, self.A[i][j]) for i in range(self.m) if self.A[i][j])
             for j in range(self.n)
         )
-        self._A_np = np.array(self.A, dtype=np.float64)
-        self._c_np = -np.array(self.w, dtype=np.float64)
-        self._b_np = np.array(self.rhs, dtype=np.float64)
 
     def check_feasible(self, x) -> bool:
         return all(
@@ -89,81 +94,78 @@ class Solution:
     wall_time: float = 0.0
 
 
-def _lp_relax(model: IlpModel, fixed):
-    """LP bound and fractional solution for a partial 0/1 fixing.
+class _Lp:
+    """The LP relaxation of one model, kept in a single HiGHS object.
 
-    Returns (bound, x) where bound is an integer upper bound on the best
-    completion, -inf if the fixing is infeasible, or (None, None) when the
-    LP solver failed and the caller must fall back.
+    `set_col` changes one column's bounds; `solve` re-runs HiGHS, which
+    starts from the previous basis.  Every bound it returns is certified in
+    integers from the row duals (see `_certify`), so float error can only
+    weaken it.
     """
-    bounds = [(0.0, 1.0)] * model.n
-    for j, v in fixed.items():
-        bounds[j] = (float(v), float(v))
-    res = linprog(
-        model._c_np,
-        A_ub=model._A_np,
-        b_ub=model._b_np,
-        bounds=bounds,
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": LP_TOL,
-            "dual_feasibility_tolerance": LP_TOL,
-        },
-    )
-    if res.status == 2:
-        return float("-inf"), None
-    if res.status != 0:
-        return None, None
-    return math.floor(-res.fun + LP_ROUND_EPS), res.x
 
+    def __init__(self, model: IlpModel):
+        n, m = model.n, model.m
+        self.A = np.array(model.A, dtype=np.int64)
+        self.b = np.array(model.rhs, dtype=np.int64)
+        self.w_scaled = np.array(model.w, dtype=np.int64) << CERT_BITS
+        rows, cols = np.nonzero(self.A)
+        self.highs = h = _highs._Highs()
+        h.setOptionValue("output_flag", False)
+        h.setOptionValue("presolve", "off")
+        h.setOptionValue("primal_feasibility_tolerance", LP_TOL)
+        h.setOptionValue("dual_feasibility_tolerance", LP_TOL)
+        status = h.passModel(
+            n, m, len(rows), int(_highs.MatrixFormat.kRowwise), int(_highs.ObjSense.kMinimize), 0.0,
+            -np.array(model.w, dtype=np.float64), np.zeros(n), np.ones(n),
+            np.full(m, -_highs.kHighsInf), self.b.astype(np.float64),
+            np.searchsorted(rows, np.arange(m)).astype(np.int32), cols.astype(np.int32),
+            self.A[rows, cols].astype(np.float64), np.zeros(n, dtype=np.int32),
+        )
+        if status == _highs.HighsStatus.kError:
+            raise RuntimeError("HiGHS rejected the LP relaxation")
+        self.lo = np.zeros(n, dtype=np.int64)
+        self.hi = np.ones(n, dtype=np.int64)
+        # scaled multipliers stay below this, so no int64 sum can overflow
+        self.y_max = float(2**62 // (1 + int(self.A.sum() + self.b.sum())))
 
-def _row_knapsack_bound(model: IlpModel, fixed):
-    """Integer fallback bound: per row, fill the residual capacity with the
-    free variables in descending weight density, fractionally; the minimum
-    over rows bounds every feasible completion."""
-    loads = [0] * model.m
-    fixed_w = 0
-    for j, v in fixed.items():
-        if v:
-            fixed_w += model.w[j]
-            for i, a in model.col_support[j]:
-                loads[i] += a
-    if any(l > b for l, b in zip(loads, model.rhs)):
-        return float("-inf")
-    free = [j for j in range(model.n) if j not in fixed]
-    best = fixed_w + sum(model.w[j] for j in free)
-    for i in range(model.m):
-        cap = model.rhs[i] - loads[i]
-        row = model.A[i]
-        gain = 0.0
-        dense = []
-        for j in free:
-            if row[j]:
-                dense.append((model.w[j] / row[j], row[j], model.w[j]))
-            else:
-                gain += model.w[j]
-        dense.sort(key=lambda t: -t[0])
-        for _, a, wj in dense:
-            if a <= cap:
-                cap -= a
-                gain += wj
-            else:
-                gain += wj * cap / a
-                break
-        best = min(best, fixed_w + gain)
-    return math.floor(best + LP_ROUND_EPS)
+    def set_col(self, j, lo, hi):
+        self.lo[j], self.hi[j] = lo, hi
+        self.highs.changeColBounds(j, float(lo), float(hi))
+
+    def _certify(self, row_dual) -> int:
+        """Neumaier-Shcherbina safe bound: with S = 2**CERT_BITS, any
+        integer y >= 0 and d = S.w - y.A, every feasible completion has
+        S.w.x = y.A.x + d.x <= y.b + sum_j max(lo_j d_j, hi_j d_j)."""
+        y = np.fmin(np.fmax(-np.asarray(row_dual), 0.0) * (1 << CERT_BITS), self.y_max)
+        y = np.floor(y).astype(np.int64)
+        d = self.w_scaled - y @ self.A
+        total = int(y @ self.b) + int(np.maximum(self.lo * d, self.hi * d).sum())
+        return total >> CERT_BITS
+
+    def solve(self):
+        """(bound, x): a certified integer upper bound over all completions
+        of the current fixing, and the LP point.  When HiGHS does not report
+        an optimum, the bound is the weight of everything not fixed to 0 and
+        x is None."""
+        self.highs.run()
+        if self.highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
+            return int(self.w_scaled @ self.hi) >> CERT_BITS, None
+        sol = self.highs.getSolution()
+        return self._certify(sol.row_dual), sol.col_value
 
 
 def lp_bound(model: IlpModel, fixed=None):
-    """Upper bound on the integer optimum over all completions of `fixed`.
+    """Certified upper bound on the integer optimum over all completions of
+    `fixed`.
 
     -inf signals that the fixing already violates a constraint.
     """
-    fixed = dict(fixed or {})
-    bound, _ = _lp_relax(model, fixed)
-    if bound is None:
-        return _row_knapsack_bound(model, fixed)
-    return bound
+    lp = _Lp(model)
+    for j, v in (fixed or {}).items():
+        lp.set_col(j, v, v)
+    if (lp.A @ lp.lo > lp.b).any():
+        return float("-inf")
+    return lp.solve()[0]
 
 
 def greedy_warm_start(model: IlpModel) -> Solution:
@@ -280,10 +282,12 @@ class _Incumbent:
 
 
 class _Search:
-    """One depth-first branch-and-bound pass over a subtree."""
+    """One depth-first branch-and-bound pass over a subtree, bounding with
+    its own LP, whose column bounds follow the assignment trail."""
 
-    def __init__(self, model, incumbent, deadline, target=None):
+    def __init__(self, model, lp, incumbent, deadline, target=None):
         self.model = model
+        self.lp = lp
         self.incumbent = incumbent
         self.deadline = deadline
         self.target = target
@@ -301,6 +305,7 @@ class _Search:
 
     def _set(self, j, v):
         self.value[j] = v
+        self.lp.set_col(j, v, v)
         self.free -= 1
         self.sum_free_w -= self.model.w[j]
         if v:
@@ -313,6 +318,7 @@ class _Search:
     def _unset(self, j):
         v = self.value[j]
         self.value[j] = None
+        self.lp.set_col(j, 0, 1)
         self.free += 1
         self.sum_free_w += self.model.w[j]
         if v:
@@ -336,7 +342,7 @@ class _Search:
 
     def _eval(self, stack):
         self.nodes += 1
-        if self.nodes % 16 == 0 and time.monotonic() > self.deadline:
+        if time.monotonic() > self.deadline:
             self.timed_out = True
             return
         if self.violations:
@@ -346,13 +352,11 @@ class _Search:
             self._offer(x, self.fixed_w)
         if self.target_hit or not self.free:
             return
-        if self.fixed_w + self.sum_free_w <= self._threshold():
+        threshold = self._threshold()
+        if self.fixed_w + self.sum_free_w <= threshold:
             return
-        fixed = {j: v for j, v in enumerate(self.value) if v is not None}
-        bound, frac = _lp_relax(self.model, fixed)
-        if bound is None:
-            bound, frac = _row_knapsack_bound(self.model, fixed), None
-        if bound <= self._threshold():
+        bound, frac = self.lp.solve()
+        if bound <= threshold:
             return
         if frac is not None:
             fracs = [
@@ -369,9 +373,12 @@ class _Search:
                     for j, v in enumerate(self.value)
                 )
                 if self.model.check_feasible(x):
-                    self._offer(x, self.model.objective(x))
-                    return
-                # fall through and branch if rounding was not feasible
+                    obj = self.model.objective(x)
+                    self._offer(x, obj)
+                    if bound <= max(threshold, obj):
+                        return
+                # otherwise branch: the rounding is infeasible or the
+                # certified bound leaves room above it
         else:
             j_star = max(
                 (j for j in range(self.model.n) if self.value[j] is None),
@@ -500,7 +507,8 @@ def solve_max(
     deadline = t0 + budget
     if deterministic:
         threads = 1
-    root_bound = lp_bound(model)
+    lp = _Lp(model)
+    root_bound, root_x = lp.solve()
     incumbent = _initial_incumbent(model, budget, deadline, deterministic, root_bound)
     if incumbent.objective >= root_bound:
         return Solution(
@@ -511,12 +519,12 @@ def solve_max(
             wall_time=time.monotonic() - t0,
         )
     if threads <= 1:
-        search = _Search(model, incumbent, deadline)
+        search = _Search(model, lp, incumbent, deadline)
         search.run()
         nodes = search.nodes
         timed_out = search.timed_out
     else:
-        nodes, timed_out = _parallel_max(model, incumbent, deadline, threads)
+        nodes, timed_out = _parallel_max(model, root_x, incumbent, deadline, threads)
     return Solution(
         x=incumbent.x,
         objective=incumbent.objective,
@@ -526,9 +534,8 @@ def solve_max(
     )
 
 
-def _parallel_max(model, incumbent, deadline, threads):
+def _parallel_max(model, frac, incumbent, deadline, threads):
     depth = max(1, min(model.n, (2 * threads - 1).bit_length()))
-    _, frac = _lp_relax(model, {})
     if frac is not None:
         ranked = sorted(
             range(model.n),
@@ -541,7 +548,7 @@ def _parallel_max(model, incumbent, deadline, threads):
     jobs = []
     for assignment in product((1, 0), repeat=len(split_vars)):
         prefix = tuple(zip(split_vars, assignment))
-        s = _Search(model, incumbent, deadline)
+        s = _Search(model, _Lp(model), incumbent, deadline)
         searches.append(s)
         jobs.append((s, prefix))
     threads_list = []
@@ -578,7 +585,8 @@ def solve_feasible(model: IlpModel, target: int, budget: float = 60.0) -> Soluti
     if target <= 0:
         return Solution(x=(0,) * model.n, objective=0, status=FEASIBLE_FOUND, wall_time=0.0)
     deadline = t0 + budget
-    root_bound = lp_bound(model)
+    lp = _Lp(model)
+    root_bound, _ = lp.solve()
     if root_bound < target:
         return Solution(
             x=(0,) * model.n,
@@ -595,17 +603,7 @@ def solve_feasible(model: IlpModel, target: int, budget: float = 60.0) -> Soluti
             status=FEASIBLE_FOUND,
             wall_time=time.monotonic() - t0,
         )
-    if incumbent.objective >= root_bound:
-        # warm start already matches the relaxation bound, so the target
-        # is out of reach
-        return Solution(
-            x=incumbent.x,
-            objective=incumbent.objective,
-            status=PROVED_INFEASIBLE,
-            nodes_explored=1,
-            wall_time=time.monotonic() - t0,
-        )
-    search = _Search(model, incumbent, deadline, target=target)
+    search = _Search(model, lp, incumbent, deadline, target=target)
     search.run()
     if search.target_hit:
         status = FEASIBLE_FOUND

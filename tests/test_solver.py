@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_cyclic_group
 from pgarcs.condense import condense
@@ -14,6 +16,9 @@ from pgarcs.solver import (
     PROVED_INFEASIBLE,
     TIMEOUT,
     IlpModel,
+    _Incumbent,
+    _Lp,
+    _Search,
     exhaustive_oracle,
     greedy_warm_start,
     lp_bound,
@@ -22,11 +27,19 @@ from pgarcs.solver import (
 )
 
 C0_Q13 = ((0, 1, 0), (1, 0, 0), (0, 0, 12))
+C0_Q3 = ((0, 1, 0), (1, 0, 0), (0, 0, 2))
+C0_Q7 = ((0, 1, 0), (1, 0, 0), (0, 0, 6))
 
 
 def full_plane_model(plane_for, q, r):
     plane = plane_for(q)
     od = orbits(plane, closure(plane.spec, []))
+    return IlpModel(condense(plane, od, r))
+
+
+def involution_model(plane_for, q, matrix, r):
+    plane = plane_for(q)
+    od = orbits(plane, closure(plane.spec, [make_element(plane.spec, matrix)]))
     return IlpModel(condense(plane, od, r))
 
 
@@ -95,6 +108,39 @@ def test_solve_max_matches_brute_force_on_condensed(plane_for):
             assert sol.objective == exhaustive_oracle(model).objective
 
 
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(q=st.sampled_from((2, 3, 4, 5)), seed=st.integers(0, 2**32 - 1), r=st.integers(1, 6))
+def test_solver_agrees_with_oracle_on_random_cyclic_groups(plane_for, q, seed, r):
+    plane = plane_for(q)
+    od = orbits(plane, random_cyclic_group(plane.spec, random.Random(seed)))
+    cs = condense(plane, od, min(r, q + 1))
+    assume(cs.ell <= 20)
+    model = IlpModel(cs)
+    opt = exhaustive_oracle(model).objective
+    sol = solve_max(model, budget=5)
+    assert sol.status == OPTIMAL
+    assert sol.objective == opt
+    assert solve_feasible(model, opt + 1, budget=5).status == PROVED_INFEASIBLE
+    hit = solve_feasible(model, opt, budget=5)
+    assert hit.status == FEASIBLE_FOUND
+    assert model.check_feasible(hit.x)
+    assert model.objective(hit.x) >= opt
+
+
+def test_q7_involution_class_proved_infeasible(plane_for):
+    # the slowest class of the q=7 exclusion sweep: no (16,3)-arc is
+    # stabilised by a homology involution, since m_3(2,7) = 15
+    model = involution_model(plane_for, 7, C0_Q7, 3)
+    assert model.n == 33
+    assert solve_feasible(model, target=16, budget=10).status == PROVED_INFEASIBLE
+
+
 def test_solve_feasible_target_zero(plane_for):
     model = full_plane_model(plane_for, 2, 2)
     sol = solve_feasible(model, target=0)
@@ -160,22 +206,39 @@ def test_lp_bound_monotone_under_zero_fixings(plane_for):
 
 
 def test_lp_bound_safety_audit(plane_for):
-    model = full_plane_model(plane_for, 2, 2)
+    models = (full_plane_model(plane_for, 2, 2), involution_model(plane_for, 3, C0_Q3, 2))
+    assert models[1].n == 9
     rng = random.Random(13)
-    for _ in range(25):
-        fixed = {}
-        for j in range(model.n):
-            roll = rng.random()
-            if roll < 0.25:
-                fixed[j] = 1
-            elif roll < 0.5:
-                fixed[j] = 0
-        bound = lp_bound(model, fixed)
-        exact = brute_force_best(model, fixed)
-        if exact < 0:
-            assert bound == float("-inf") or bound >= 0
-        else:
-            assert bound >= exact
+    for model in models:
+        for _ in range(25):
+            fixed = {}
+            for j in range(model.n):
+                roll = rng.random()
+                if roll < 0.25:
+                    fixed[j] = 1
+                elif roll < 0.5:
+                    fixed[j] = 0
+            bound = lp_bound(model, fixed)
+            exact = brute_force_best(model, fixed)
+            if exact < 0:
+                assert bound == float("-inf") or bound >= 0
+            else:
+                assert bound >= exact
+
+
+def test_search_restores_lp_to_fresh_root(plane_for):
+    plane = plane_for(5)
+    od = orbits(plane, random_cyclic_group(plane.spec, random.Random(16)))
+    for model in (full_plane_model(plane_for, 4, 3), IlpModel(condense(plane, od, 2))):
+        lp = _Lp(model)
+        fresh_bound, _ = _Lp(model).solve()
+        warm = greedy_warm_start(model)
+        search = _Search(model, lp, _Incumbent(warm.x, warm.objective), float("inf"))
+        search.run()
+        assert search.nodes > 1
+        assert list(lp.highs.getLp().col_lower_) == [0.0] * model.n
+        assert list(lp.highs.getLp().col_upper_) == [1.0] * model.n
+        assert lp.solve()[0] == fresh_bound
 
 
 def test_greedy_warm_start_full_selection(plane_for):
@@ -238,3 +301,15 @@ def test_solution_invariants(plane_for):
     assert sol.objective == model.objective(sol.x)
     assert sol.nodes_explored >= 1
     assert sol.wall_time >= 0
+
+
+def test_search_branches_to_the_optimum_without_lp_optima(plane_for):
+    model = full_plane_model(plane_for, 3, 2)
+    lp = _Lp(model)
+    lp.highs.setOptionValue("simplex_iteration_limit", 0)
+    assert lp.solve() == (sum(model.w), None)
+    search = _Search(model, lp, _Incumbent((0,) * model.n, 0), float("inf"))
+    search.run()
+    assert not search.timed_out
+    assert search.incumbent.objective == exhaustive_oracle(model).objective
+    assert model.check_feasible(search.incumbent.x)
