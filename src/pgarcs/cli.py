@@ -3,9 +3,10 @@
 Subcommands: verify, condense, solve, exclude, classify, oracle, code,
 tables.  Reports are JSON (or a key/value block for solve) and carry the
 tool version, the field spec, and sha256 digests of the input files, so
-long runs stay attributable.  Exit codes: 0 success / verdict reached,
-2 timeout or inconclusive, 1 error.  With --deterministic all timing
-fields are omitted, making reports byte-identical across runs.
+long runs stay attributable; exclude streams one line per solved class
+to stderr.  Exit codes: 0 success / verdict reached, 2 timeout or
+inconclusive, 1 error.  With --deterministic all timing fields are
+omitted, making reports byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -174,6 +175,13 @@ def cmd_solve(args):
 
 def cmd_exclude(args):
     skip = [int(v) for v in args.skip.split(",") if v] if args.skip else []
+
+    def progress(rec):
+        line = f"class {rec['id']} order {rec['order']} ell {rec['ell']}: {rec['status']} nodes={rec['nodes']}"
+        if not args.deterministic:
+            line += f" time={rec['time']}"
+        sys.stderr.write(line + "\n")
+
     report = run_exclusion(
         args.q,
         args.r,
@@ -182,6 +190,7 @@ def cmd_exclude(args):
         skip=skip,
         threads=args.threads,
         checkpoint=args.resume,
+        progress=progress,
     )
     payload = report.to_dict()
     if args.deterministic:

@@ -10,10 +10,14 @@ caught by integer row loads.  When HiGHS reports no optimum the node
 branches on its heaviest free variable.  Incumbents come from a
 descending-weight greedy warm start improved by 1-flip/1-swap local
 search, followed by a seeded ruin-and-recreate phase whose restart and
-iteration counts depend only on the budget value, so deterministic runs
-replay bit-identically.  A chunked exhaustive oracle covers tiny
-instances.  Budget exhaustion is reported as a Timeout status, never an
-error.  The optional thread pool only shares a monotone incumbent.
+iteration counts depend only on the budget value.  Its moves are frozen
+(a test pins the incumbents it offers), and it keeps all row loads in one
+packed integer, so trying a variable is one addition.  solve_max with
+deterministic=True runs it to the end and replays bit-identically;
+solve_feasible and other runs stop it at the deadline.  A chunked
+exhaustive oracle covers tiny instances.  Budget exhaustion is reported
+as a Timeout status, never an error.  The optional thread pool only
+shares a monotone incumbent.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 
 import numpy as np
 
@@ -404,18 +408,27 @@ class _Search:
                 self._eval(stack)
 
 
-def _greedy_fill(model, x, loads, order):
+def _shuffled(items, draws, getrandbits):
+    """random.shuffle(list(items)) unrolled, with the same draws: for
+    (i, i + 1, k) in `draws`, getrandbits(k) rejected until below i + 1."""
+    out = list(items)
+    for i, i1, k in draws:
+        r = getrandbits(k)
+        while r >= i1:
+            r = getrandbits(k)
+        out[i], out[r] = out[r], out[i]
+    return out
+
+
+def _greedy_fill(order, x, loads, obj, w, col, guard):
+    """Insert every variable of `order` that still fits; return the new
+    packed loads and objective (see `_lns_phase`)."""
     for j in order:
-        if not x[j]:
-            ok = True
-            for i, a in model.col_support[j]:
-                if loads[i] + a > model.rhs[i]:
-                    ok = False
-                    break
-            if ok:
-                x[j] = 1
-                for i, a in model.col_support[j]:
-                    loads[i] += a
+        if not x[j] and not (loads + col[j]) & guard:
+            x[j] = 1
+            obj += w[j]
+            loads += col[j]
+    return loads, obj
 
 
 def _lns_phase(model, incumbent, budget, deadline, deterministic, target=None):
@@ -426,59 +439,58 @@ def _lns_phase(model, incumbent, budget, deadline, deterministic, target=None):
     non-worsening moves.  Restart and iteration counts are derived from
     the budget value alone; only non-deterministic runs also watch the
     wall clock.
+
+    The row loads live in one integer, b bits per row, each row offset so
+    that its top bit is set exactly when the load exceeds the rhs.  A
+    variable fits when adding its packed column sets no top bit, inserting
+    or dropping it is one addition, and a rejected move restores the best
+    loads by reference.
     """
-    n = model.n
-    total = sum(model.w)
+    n, w = model.n, model.w
+    total = sum(w)
     if incumbent.objective >= total:
         return
     restarts = max(2, min(12, int(budget / 10) + 1))
     iters = max(2000, min(50_000, int(budget * 150)))
-    base_order = sorted(range(n), key=lambda j: (-model.w[j], j))
+    base_order = sorted(range(n), key=lambda j: (-w[j], j))
+    draws = [(i, i + 1, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+    # b - 1 bits hold any rhs, and a full row plus any coefficient fits in b
+    b = max(max(model.rhs), max(map(max, model.A))).bit_length() + 1
+    half = 1 << (b - 1)
+    guard = sum(half << (b * i) for i in range(model.m))
+    empty = sum((half - 1 - rhs) << (b * i) for i, rhs in enumerate(model.rhs))
+    col = [sum(a << (b * i) for i, a in support) for support in model.col_support]
     for seed in range(restarts):
         rng = random.Random(seed)
+        bits = rng.getrandbits
         x = [0] * n
-        loads = [0] * model.m
-        order = list(base_order)
-        rng.shuffle(order)
-        _greedy_fill(model, x, loads, order)
-        best_obj = sum(model.w[j] for j in range(n) if x[j])
-        best_x = list(x)
-        incumbent.offer(tuple(best_x), best_obj)
+        loads, obj = _greedy_fill(_shuffled(base_order, draws, bits), x, empty, 0, w, col, guard)
+        best_obj, best_x, best_loads = obj, x[:], loads
+        incumbent.offer(tuple(x), obj)
         if target is not None and incumbent.objective >= target:
             return
         for it in range(iters):
             if not deterministic and time.monotonic() > deadline:
                 return
-            sel = [j for j in range(n) if x[j]]
+            sel = list(compress(range(n), x))
             if not sel:
                 break
-            out = rng.sample(sel, min(3 + it % 6, len(sel)))
-            for j in out:
+            for j in rng.sample(sel, min(3 + it % 6, len(sel))):
                 x[j] = 0
-                for i, a in model.col_support[j]:
-                    loads[i] -= a
-            order = list(base_order)
-            rng.shuffle(order)
-            _greedy_fill(model, x, loads, order)
-            obj = sum(model.w[j] for j in range(n) if x[j])
-            if obj >= best_obj:
-                if obj > best_obj:
-                    best_obj = obj
-                    best_x = list(x)
-                    incumbent.offer(tuple(best_x), best_obj)
-                    if target is not None and incumbent.objective >= target:
-                        return
-                    if best_obj >= total:
-                        return
-                else:
-                    best_x = list(x)
-            else:
-                x = list(best_x)
-                loads = [0] * model.m
-                for j in range(n):
-                    if x[j]:
-                        for i, a in model.col_support[j]:
-                            loads[i] += a
+                obj -= w[j]
+                loads -= col[j]
+            loads, obj = _greedy_fill(_shuffled(base_order, draws, bits), x, loads, obj, w, col, guard)
+            if obj < best_obj:
+                x, loads, obj = best_x[:], best_loads, best_obj
+                continue
+            best_x, best_loads = x[:], loads
+            if obj > best_obj:
+                best_obj = obj
+                incumbent.offer(tuple(x), obj)
+                if target is not None and incumbent.objective >= target:
+                    return
+                if obj >= total:
+                    return
 
 
 def _initial_incumbent(model, budget, deadline, deterministic, root_bound, target=None):
@@ -595,7 +607,7 @@ def solve_feasible(model: IlpModel, target: int, budget: float = 60.0) -> Soluti
             nodes_explored=1,
             wall_time=time.monotonic() - t0,
         )
-    incumbent = _initial_incumbent(model, budget, deadline, True, root_bound, target=target)
+    incumbent = _initial_incumbent(model, budget, deadline, False, root_bound, target=target)
     if incumbent.objective >= target:
         return Solution(
             x=incumbent.x,

@@ -1,11 +1,15 @@
+import hashlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_cyclic_group
+from pgarcs import solver
+from pgarcs.arcs import load_corpus_arc
 from pgarcs.condense import condense
 from pgarcs.errors import BudgetExceededError
 from pgarcs.gf import Field
@@ -19,6 +23,7 @@ from pgarcs.solver import (
     _Incumbent,
     _Lp,
     _Search,
+    _initial_incumbent,
     exhaustive_oracle,
     greedy_warm_start,
     lp_bound,
@@ -29,6 +34,10 @@ from pgarcs.solver import (
 C0_Q13 = ((0, 1, 0), (1, 0, 0), (0, 0, 12))
 C0_Q3 = ((0, 1, 0), (1, 0, 0), (0, 0, 2))
 C0_Q7 = ((0, 1, 0), (1, 0, 0), (0, 0, 6))
+C3_Q7 = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+# sha256 of the LNS offer sequence in test_lns_trajectory_is_frozen, taken
+# before the incremental kernel replaced the re-summing one
+LNS_TRAJECTORY_SHA256 = "a181790d48d47f6c53935afdc779e7e9d0e788a678ba9ac814ece176107059fa"
 
 
 def full_plane_model(plane_for, q, r):
@@ -37,7 +46,7 @@ def full_plane_model(plane_for, q, r):
     return IlpModel(condense(plane, od, r))
 
 
-def involution_model(plane_for, q, matrix, r):
+def cyclic_model(plane_for, q, matrix, r):
     plane = plane_for(q)
     od = orbits(plane, closure(plane.spec, [make_element(plane.spec, matrix)]))
     return IlpModel(condense(plane, od, r))
@@ -136,7 +145,7 @@ def test_solver_agrees_with_oracle_on_random_cyclic_groups(plane_for, q, seed, r
 def test_q7_involution_class_proved_infeasible(plane_for):
     # the slowest class of the q=7 exclusion sweep: no (16,3)-arc is
     # stabilised by a homology involution, since m_3(2,7) = 15
-    model = involution_model(plane_for, 7, C0_Q7, 3)
+    model = cyclic_model(plane_for, 7, C0_Q7, 3)
     assert model.n == 33
     assert solve_feasible(model, target=16, budget=10).status == PROVED_INFEASIBLE
 
@@ -173,6 +182,19 @@ def test_solve_feasible_timeout_on_hard_instance(plane_for):
     assert sol.objective < 50
 
 
+def test_solve_feasible_honours_a_budget_shorter_than_its_lns(plane_for):
+    # 4,000 ruin-and-recreate moves over 333 orbits outlast a 0.1 s budget
+    plane = plane_for(31)
+    pa = load_corpus_arc("q31_r25_n734.arc", plane=plane)
+    model = IlpModel(condense(plane, orbits(plane, closure(plane.spec, pa.group.generators)), 25))
+    budget = 0.1
+    t0 = time.monotonic()
+    sol = solve_feasible(model, target=734, budget=budget)
+    assert time.monotonic() - t0 <= budget + 0.3
+    assert sol.status == TIMEOUT
+    assert model.check_feasible(sol.x)
+
+
 def test_lp_bound_fully_fixed(plane_for):
     model = full_plane_model(plane_for, 2, 2)
     fixed = {0: 1, 1: 1, 2: 0, 3: 0, 4: 1, 5: 0, 6: 0}
@@ -206,7 +228,7 @@ def test_lp_bound_monotone_under_zero_fixings(plane_for):
 
 
 def test_lp_bound_safety_audit(plane_for):
-    models = (full_plane_model(plane_for, 2, 2), involution_model(plane_for, 3, C0_Q3, 2))
+    models = (full_plane_model(plane_for, 2, 2), cyclic_model(plane_for, 3, C0_Q3, 2))
     assert models[1].n == 9
     rng = random.Random(13)
     for model in models:
@@ -313,3 +335,30 @@ def test_search_branches_to_the_optimum_without_lp_optima(plane_for):
     assert not search.timed_out
     assert search.incumbent.objective == exhaustive_oracle(model).objective
     assert model.check_feasible(search.incumbent.x)
+
+
+def test_lns_trajectory_is_frozen(plane_for, monkeypatch):
+    # the ruin-and-recreate phase must replay move for move: the same
+    # (x, objective) offers in the same order.  Budget 10 runs 2 restarts
+    # of 2,000 moves, budget 20 runs 3 restarts of 3,000.
+    offers = []
+
+    class Recording(_Incumbent):
+        def offer(self, x, objective):
+            offers.append((tuple(x), objective))
+            return super().offer(x, objective)
+
+    monkeypatch.setattr(solver, "_Incumbent", Recording)
+    models = (
+        full_plane_model(plane_for, 4, 3),
+        cyclic_model(plane_for, 7, C0_Q7, 4),
+        cyclic_model(plane_for, 7, C3_Q7, 4),
+    )
+    for model in models:
+        root_bound = lp_bound(model)
+        start = len(offers)
+        for budget in (10, 20):
+            _initial_incumbent(model, budget, float("inf"), True, root_bound)
+        assert all(model.check_feasible(x) and model.objective(x) == obj for x, obj in offers[start:])
+    assert len(offers) == 41
+    assert hashlib.sha256(repr(offers).encode()).hexdigest() == LNS_TRAJECTORY_SHA256
