@@ -331,6 +331,7 @@ def _solve_class(plane, rep, r, n, budget):
         "status": sol.status,
         "objective": sol.objective,
         "nodes": sol.nodes_explored,
+        "symmetry": sol.symmetry,
         "time": round(time.monotonic() - t0, 3),
     }
 
@@ -377,6 +378,8 @@ def run_exclusion(
     skip = set(skip)
     key = f"q={p} r={r} n={n}"
     records = _load_checkpoint(checkpoint, key)
+    for rec in records.values():
+        rec.setdefault("symmetry", 1)  # written before the search used any
     todo = [
         rep
         for rep in classes
@@ -411,6 +414,7 @@ def run_exclusion(
                 "status": "Skipped",
                 "objective": None,
                 "nodes": 0,
+                "symmetry": 1,
                 "time": 0.0,
             }
 

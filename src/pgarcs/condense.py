@@ -5,16 +5,18 @@ line orbit and one column per point orbit: A[i][j] counts the points of
 point-orbit j lying on the representative line of line-orbit i.  A 0/1
 orbit-selection vector x with A.x <= r.u expands to a point set meeting
 every line in at most r points, of size w.x where w holds the point-orbit
-lengths.
+lengths.  A condensed system remembers how to list the permutations of
+its variables that the group's normalizer induces; a parsed one has none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import NotAdmittedError
 from .geometry import Plane
-from .group import OrbitData
+from .group import OrbitData, normalizer_permutations
 
 __all__ = [
     "CondensedSystem",
@@ -29,7 +31,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CondensedSystem:
-    """Condensed constraint system: ell x ell counts, weights, bound r."""
+    """Condensed constraint system: ell x ell counts, weights, bound r.
+
+    normalizer, when set, is called with a deadline and returns what
+    `group.normalizer_permutations` returns for this system.
+    """
 
     ell: int
     A: tuple
@@ -37,6 +43,7 @@ class CondensedSystem:
     r: int
     q: int
     provenance: str = ""
+    normalizer: object = field(default=None, compare=False, repr=False)
 
     def row_sums(self):
         return tuple(sum(row) for row in self.A)
@@ -54,8 +61,15 @@ def condense(plane: Plane, orb: OrbitData, r: int, provenance: str = "") -> Cond
         for j in plane.incidence[rep]:
             row[orb.point_orbit_of[j]] += 1
         A.append(tuple(row))
+    A = tuple(A)
     system = CondensedSystem(
-        ell=ell, A=tuple(A), w=orb.weights, r=r, q=q, provenance=provenance
+        ell=ell,
+        A=A,
+        w=orb.weights,
+        r=r,
+        q=q,
+        provenance=provenance,
+        normalizer=partial(normalizer_permutations, plane, orb, A, orb.weights),
     )
     assert all(s == q + 1 for s in system.row_sums())
     return system

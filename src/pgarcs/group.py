@@ -8,11 +8,23 @@ in row-major order equals 1, which makes equality and hashing of
 projective classes exact.  Groups are built by breadth-first closure from
 generators, and orbit partitions on points and lines are computed from
 the generators' permutations.
+
+The normalizer N(G) in PGL(3,q) maps G-orbits to G-orbits, so it permutes
+the variables of the orbit-condensed system.  `normalizer_permutations`
+lists those permutations explicitly: it solves the linear conditions on
+h's nine entries, enumerates each solution space modulo scalars with
+numpy, maps a few probe points per candidate, and checks every
+permutation it returns against the condensed system.
 """
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
+from itertools import product
+
+import numpy as np
 
 from .errors import BudgetExceededError, ParseError
 from .geometry import Plane, normalize_triple
@@ -32,12 +44,15 @@ __all__ = [
     "identity_element",
     "inverse",
     "make_element",
+    "normalizer_permutations",
     "orbits",
     "parse_group_file",
     "transpose_element",
 ]
 
 CLOSURE_CAP = 10**6
+NORMALIZER_CAP = 10**5  # candidate matrices modulo scalars; beyond it, no symmetry
+_CHUNK = 1 << 14  # (candidate, probe point) pairs mapped per numpy step
 
 
 @dataclass(frozen=True)
@@ -232,7 +247,8 @@ class OrbitData:
 
     point_orbits/line_orbits are sorted index tuples; representatives are
     the minimal indices; weights are the point-orbit lengths; ell is the
-    common orbit count; *_orbit_of map an index to its orbit id.
+    common orbit count; *_orbit_of map an index to its orbit id;
+    generators are those of the group that made the partition.
     """
 
     point_orbits: tuple
@@ -243,6 +259,7 @@ class OrbitData:
     ell: int
     point_orbit_of: tuple
     line_orbit_of: tuple
+    generators: tuple = ()
 
 
 def _partition(n, perms):
@@ -288,7 +305,244 @@ def orbits(plane: Plane, group: Group) -> OrbitData:
         ell=len(point_orbits),
         point_orbit_of=point_orbit_of,
         line_orbit_of=line_orbit_of,
+        generators=group.generators,
     )
+
+
+def _null_space(spec: Field, rows, n=9):
+    """A basis of {h in GF(q)^n : row . h = 0 for every row}."""
+    mul, add, neg, inv = spec.mul_t, spec.add_t, spec.neg_t, spec.inv_t
+    mat = [list(row) for row in rows]
+    pivots = []
+    for col in range(n):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        scale = mul[inv[mat[rank][col]]]
+        mat[rank] = [scale[v] for v in mat[rank]]
+        for i, row in enumerate(mat):
+            if i != rank and row[col]:
+                f = mul[neg[row[col]]]
+                mat[i] = [add[v][f[u]] for v, u in zip(row, mat[rank])]
+        pivots.append(col)
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        v = [0] * n
+        v[free] = 1
+        for row, col in zip(mat, pivots):
+            v[col] = neg[row[free]]
+        basis.append(v)
+    return basis
+
+
+def _commutation_rows(spec: Field, g, m):
+    """The equations h.g = m.h, linear in the entries h[x][y] (index 3x+y)."""
+    rows = []
+    for a in range(3):
+        for c in range(3):
+            row = [0] * 9
+            for y in range(3):
+                row[3 * a + y] = g[y][c]
+            for x in range(3):
+                row[3 * x + c] = spec.add_t[row[3 * x + c]][spec.neg_t[m[a][x]]]
+            rows.append(row)
+    return rows
+
+
+def _normalizer_spaces(spec: Field, generators):
+    """Bases of the solution spaces whose invertible members, modulo
+    scalars, form the symmetry group used for the search.
+
+    One generator g of projective order m: h.g = mu.g^k.h for every k
+    coprime to m and every scalar mu for which mu.g^k and g share a
+    characteristic polynomial, which together is the normalizer of <g>.
+    Several generators: h.g_i = mu_i.g_i.h for all i, the intersection of
+    their centralizers, a subgroup of N(G).  No generator: all of PGL(3,q).
+    """
+    from .classify import char_poly  # classify imports this module
+
+    mul = spec.mul_t
+    mats = [g.mat for g in generators]
+    if len(mats) == 1:
+        g = mats[0]
+        powers = [g]  # g, g^2, ... up to the first scalar power
+        while any(powers[-1][i][j] != (powers[-1][0][0] if i == j else 0) for i in range(3) for j in range(3)):
+            powers.append(matmul3(spec, powers[-1], g))
+        targets = [[m for k, m in enumerate(powers, 1) if math.gcd(k, len(powers)) == 1]]
+    else:
+        targets = [[g] for g in mats]
+    options = []
+    for g, images in zip(mats, targets):
+        want = char_poly(spec, g)
+        rows = []
+        for m in images:
+            c0, c1, c2, _ = char_poly(spec, m)
+            for mu in range(1, spec.q):
+                mu2 = mul[mu][mu]
+                if (mul[mul[mu2][mu]][c0], mul[mu2][c1], mul[mu][c2], 1) == want:
+                    scaled = tuple(tuple(mul[mu][v] for v in r) for r in m)
+                    rows.append(_commutation_rows(spec, g, scaled))
+        options.append(rows)
+    spaces = []
+    for combo in product(*options):
+        basis = _null_space(spec, [row for rows in combo for row in rows])
+        if basis:
+            spaces.append(basis)
+    return spaces
+
+
+def _map_vectors(spec: Field, mats, vecs):
+    """mats (N, 9) applied to vecs (P, 3): images of shape (N, P, 3)."""
+    q = spec.q
+    add = spec.add_np.ravel()
+    times = [spec.mul_np[:, vecs[:, b]] for b in range(3)]  # times[b][c] = c * vecs[:, b]
+    out = []
+    for a in range(3):
+        t = [times[b][mats[:, 3 * a + b]] for b in range(3)]
+        out.append(add[add[t[0] * q + t[1]] * q + t[2]])
+    return np.stack(out, axis=-1)
+
+
+def _cross(spec: Field, u, v):
+    """Cross products of the rows of u and v, shape (N, 3)."""
+    add, mul = spec.add_np, spec.mul_np
+    neg = np.array(spec.neg_t, dtype=np.int16)
+    return np.stack(
+        [add[mul[u[:, i], v[:, j]], neg[mul[u[:, j], v[:, i]]]] for i, j in ((1, 2), (2, 0), (0, 1))],
+        axis=-1,
+    )
+
+
+def _codes(vecs, q):
+    v = vecs.astype(np.int32)
+    return (v[..., 0] * q + v[..., 1]) * q + v[..., 2]
+
+
+def _candidate_images(spec: Field, basis, probe):
+    """Images of the probe vectors under every member of span(basis)
+    modulo scalars, chunk by chunk: the leading coefficient is 1, the
+    trailing dimensions are tabulated once, the others looped over."""
+    q = spec.q
+    add = spec.add_np.ravel()
+    base = _map_vectors(spec, np.array(basis, dtype=np.int16), probe)
+    multiples = spec.mul_np[np.arange(q)[:, None, None, None], base[None]]  # c * base[b]
+    d = len(basis)
+    for lead in range(d):
+        free = list(range(lead + 1, d))
+        inner = 0
+        while inner < len(free) and q ** (inner + 1) * len(probe) <= _CHUNK:
+            inner += 1
+        split = len(free) - inner
+        table = np.zeros((1,) + probe.shape, dtype=np.int16)
+        for b in free[split:]:
+            table = add[table[:, None] * q + multiples[:, b][None]].reshape((-1,) + probe.shape)
+        for coeffs in product(range(q), repeat=split):
+            start = base[lead]
+            for c, b in zip(coeffs, free):
+                start = add[start * q + multiples[c, b]]
+            yield add[start[None] * q + table]
+
+
+def _batched(chunks, size):
+    """Concatenate consecutive chunks until each batch holds `size` rows."""
+    batch, rows = [], 0
+    for chunk in chunks:
+        batch.append(chunk)
+        rows += len(chunk)
+        if rows >= size:
+            yield np.concatenate(batch)
+            batch, rows = [], 0
+    if batch:
+        yield np.concatenate(batch)
+
+
+def _absent(sorted_keys, keys):
+    """Mask of the keys that do not occur in the sorted array."""
+    if not len(sorted_keys):
+        return np.ones(len(keys), dtype=bool)
+    return sorted_keys.take(np.searchsorted(sorted_keys, keys), mode="clip") != keys
+
+
+def _is_permutation(perms):
+    return (np.sort(perms, axis=1) == np.arange(perms.shape[1])).all()
+
+
+def normalizer_permutations(plane: Plane, orb: OrbitData, A, w, deadline=math.inf):
+    """The permutations of the orbit variables induced by N(G).
+
+    Returns (order, perms): the number of elements of the group found in
+    PGL(3,q) (see `_normalizer_spaces`), and an int16 array with one row
+    per distinct permutation sigma of the point orbits.  Every row is
+    checked, with the line-orbit permutation tau of an element h inducing
+    it: w[sigma] = w and A[tau(i)][sigma(j)] = A[i][j], or RuntimeError.
+    None when a generator is semilinear or there are more than
+    NORMALIZER_CAP candidates; BudgetExceededError once the deadline
+    passes.
+    """
+    spec = plane.spec
+    q, ell = spec.q, orb.ell
+    if any(g.frob for g in orb.generators):
+        return None
+    spaces = _normalizer_spaces(spec, orb.generators)
+    candidates = sum((q ** len(b) - 1) // (q - 1) for b in spaces)
+    if candidates > NORMALIZER_CAP:
+        return None
+    pts = np.array(plane.points, dtype=np.int16)
+    vec_index = np.zeros(q**3, dtype=np.int16)  # code of any nonzero multiple -> index
+    vec_index[_codes(spec.mul_np[np.arange(1, q)[:, None, None], pts[None]], q)] = np.arange(plane.n)
+    # probes: the unit vectors, whose images are h's columns, then the
+    # representative of every point orbit
+    probe = np.concatenate([np.eye(3, dtype=np.int16), pts[list(orb.point_rep)]])
+    point_orbit = np.array(orb.point_orbit_of, dtype=np.int16)
+    line_orbit = np.array(orb.line_orbit_of, dtype=np.int16)
+    line_rep = pts[list(orb.line_rep)]  # lines and points share their triples
+    A = np.array(A, dtype=np.int16)
+    w = np.array(w)
+    rows, cols = np.nonzero(A)
+    ident = np.arange(ell)
+    weights = np.random.default_rng(0).integers(1 << 62, size=ell)  # row hashes
+    order = kernel = count = 0
+    seen = np.empty(0, dtype=np.int64)
+    perms = np.empty((candidates, ell), dtype=np.int16)  # memory is touched only as rows fill
+    chunks = (images for basis in spaces for images in _candidate_images(spec, basis, probe))
+    for images in _batched(chunks, _CHUNK // len(probe)):
+        if time.monotonic() > deadline:
+            raise BudgetExceededError("deadline passed while listing the normalizer")
+        a, b, c = images[:, 0], images[:, 1], images[:, 2]
+        crosses = (_cross(spec, b, c), _cross(spec, c, a), _cross(spec, a, b))
+        t = spec.mul_np[a, crosses[0]]  # det = a . (b x c)
+        invertible = np.flatnonzero(spec.add_np[spec.add_np[t[:, 0], t[:, 1]], t[:, 2]])
+        sigma = point_orbit[vec_index[_codes(images[invertible, 3:], q)]]
+        order += len(sigma)
+        kernel += int((sigma == ident).all(axis=1).sum())
+        keys, first = np.unique(sigma.astype(np.int64) @ weights, return_index=True)
+        new = _absent(seen, keys)
+        if not new.any():
+            continue
+        seen = np.sort(np.concatenate([seen, keys[new]]), kind="stable")  # merges two sorted runs
+        first = first[new]
+        sigma = sigma[first]
+        # h^-T is proportional to the matrix with columns b x c, c x a, a x b
+        cof = np.stack([x[invertible[first]] for x in crosses], axis=-1).reshape(len(first), 9)
+        tau = line_orbit[vec_index[_codes(_map_vectors(spec, cof, line_rep), q)]]
+        if not (
+            _is_permutation(sigma)
+            and _is_permutation(tau)
+            and (w[sigma] == w).all()
+            and (A[tau[:, rows], sigma[:, cols]] == A[rows, cols]).all()
+        ):
+            raise RuntimeError("a normalizer element does not preserve the condensed system")
+        perms[count : count + len(sigma)] = sigma
+        count += len(sigma)
+    # the kernel of h -> sigma has `kernel` elements, so the image has
+    # order / kernel: fewer rows would mean two permutations shared a hash
+    if count * kernel != order:
+        raise RuntimeError("the permutations found are not the whole image of the group")
+    return order, perms[:count]
 
 
 def parse_group_file(text: str, spec: Field):

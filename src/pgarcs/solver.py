@@ -16,8 +16,24 @@ packed integer, so trying a variable is one addition.  solve_max with
 deterministic=True runs it to the end and replays bit-identically;
 solve_feasible and other runs stop it at the deadline.  A chunked
 exhaustive oracle covers tiny instances.  Budget exhaustion is reported
-as a Timeout status, never an error.  The optional thread pool only
-shares a monotone incumbent.
+as a Timeout status, never an error; the root LP gets the remaining
+budget as its time limit, and a limited root counts as no optimum.  The
+optional thread pool only shares a monotone incumbent.
+
+A system condensed from a group G carries the symmetry of the normalizer
+N(G) in PGL(3,q), which maps G-invariant arcs to G-invariant arcs and so
+permutes the variables; a parsed system carries none.  The search uses it
+by orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, Math.
+Prog. 126, 2011).  A node holds a group of variable permutations that
+maps its fixings onto themselves: at the root the permutations listed
+for the model (group.normalizer_permutations, each checked to preserve A
+and w), cut down to the setwise stabilizer of a starting prefix.  It
+branches on the usual variable j: the 1-child fixes x_j = 1 and keeps
+the stabilizer of j, the 0-child fixes the whole orbit of j to 0 and
+keeps the group.  Any selection of the node with some x_i = 1 on that
+orbit is mapped by the group onto one with x_j = 1, feasible, of the
+same weight and still inside the node, so the children lose no optimum
+and no witness.  The list is built when a search first branches.
 """
 
 from __future__ import annotations
@@ -78,6 +94,19 @@ class IlpModel:
             tuple((i, self.A[i][j]) for i in range(self.m) if self.A[i][j])
             for j in range(self.n)
         )
+        self._normalizer = system.normalizer
+        self._symmetry = None
+
+    def symmetry(self, deadline=float("inf")):
+        """The variable permutations the group's normalizer induces, as an
+        int16 array with one row per distinct permutation, or None when the
+        system carries no group or too large a normalizer.  Listed on the
+        first call, which raises BudgetExceededError past the deadline."""
+        if self._normalizer is not None:
+            found = self._normalizer(deadline)
+            self._symmetry = None if found is None else found[1]
+            self._normalizer = None
+        return self._symmetry
 
     def check_feasible(self, x) -> bool:
         return all(
@@ -96,6 +125,7 @@ class Solution:
     status: str
     nodes_explored: int = 0
     wall_time: float = 0.0
+    symmetry: int = 1  # distinct variable permutations at the branch-and-bound root
 
 
 class _Lp:
@@ -146,12 +176,17 @@ class _Lp:
         total = int(y @ self.b) + int(np.maximum(self.lo * d, self.hi * d).sum())
         return total >> CERT_BITS
 
-    def solve(self):
+    def solve(self, time_limit=None):
         """(bound, x): a certified integer upper bound over all completions
         of the current fixing, and the LP point.  When HiGHS does not report
-        an optimum, the bound is the weight of everything not fixed to 0 and
-        x is None."""
-        self.highs.run()
+        an optimum, within time_limit seconds if one is given, the bound is
+        the weight of everything not fixed to 0 and x is None."""
+        if time_limit is None:
+            self.highs.run()
+        else:
+            self.highs.setOptionValue("time_limit", max(time_limit, 0.0))
+            self.highs.run()
+            self.highs.setOptionValue("time_limit", _highs.kHighsInf)
         if self.highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
             return int(self.w_scaled @ self.hi) >> CERT_BITS, None
         sol = self.highs.getSolution()
@@ -285,6 +320,9 @@ class _Incumbent:
         return False
 
 
+_UNLISTED = object()  # a search's group until its root first branches
+
+
 class _Search:
     """One depth-first branch-and-bound pass over a subtree, bounding with
     its own LP, whose column bounds follow the assignment trail."""
@@ -304,6 +342,8 @@ class _Search:
         self.nodes = 0
         self.timed_out = False
         self.target_hit = False
+        self.group = _UNLISTED  # the node's symmetry group, None when trivial
+        self.symmetry = 1  # the group's order at the root
 
     # -- assignment trail ---------------------------------------------
 
@@ -341,6 +381,29 @@ class _Search:
         if self.target is not None:
             return self.target - 1
         return self.incumbent.objective
+
+    # -- symmetry ---------------------------------------------------------
+
+    def _root_group(self):
+        """The model's symmetry, cut down to the setwise stabilizer of the
+        fixings the search starts from (a prefix, or none)."""
+        perms = self.model.symmetry(self.deadline)
+        if perms is None:
+            return None
+        for v in (0, 1):
+            fixed = [j for j, x in enumerate(self.value) if x == v]
+            if fixed:
+                perms = perms[np.isin(perms[:, fixed], fixed).all(axis=1)]
+        self.symmetry = len(perms)
+        return perms if len(perms) > 1 else None
+
+    def _split(self, j):
+        """The orbit of j under the node's group and the stabilizer of j."""
+        if self.group is None:
+            return (j,), None
+        images = self.group[:, j]
+        stab = self.group[images == j]
+        return tuple(np.unique(images).tolist()), (stab if len(stab) > 1 else None)
 
     # -- node processing ------------------------------------------------
 
@@ -388,8 +451,15 @@ class _Search:
                 (j for j in range(self.model.n) if self.value[j] is None),
                 key=lambda j: (self.model.w[j], -j),
             )
+        if self.group is _UNLISTED:
+            try:
+                self.group = self._root_group()
+            except BudgetExceededError:
+                self.timed_out = True
+                return
+        orbit, stab = self._split(j_star)
         stack.extend(
-            [("unset", j_star), ("set", j_star, 0), ("unset", j_star), ("set", j_star, 1)]
+            [("unset", orbit), ("set", orbit, 0, self.group), ("unset", (j_star,)), ("set", (j_star,), 1, stab)]
         )
 
     def run(self, prefix=()):
@@ -402,9 +472,12 @@ class _Search:
         while stack and not self.timed_out and not self.target_hit:
             op = stack.pop()
             if op[0] == "unset":
-                self._unset(op[1])
+                for j in op[1]:
+                    self._unset(j)
             else:
-                self._set(op[1], op[2])
+                _, js, v, self.group = op
+                for j in js:
+                    self._set(j, v)
                 self._eval(stack)
 
 
@@ -520,7 +593,7 @@ def solve_max(
     if deterministic:
         threads = 1
     lp = _Lp(model)
-    root_bound, root_x = lp.solve()
+    root_bound, root_x = lp.solve(time_limit=deadline - time.monotonic())
     incumbent = _initial_incumbent(model, budget, deadline, deterministic, root_bound)
     if incumbent.objective >= root_bound:
         return Solution(
@@ -533,20 +606,24 @@ def solve_max(
     if threads <= 1:
         search = _Search(model, lp, incumbent, deadline)
         search.run()
-        nodes = search.nodes
-        timed_out = search.timed_out
+        nodes, timed_out, symmetry = search.nodes, search.timed_out, search.symmetry
     else:
-        nodes, timed_out = _parallel_max(model, root_x, incumbent, deadline, threads)
+        nodes, timed_out, symmetry = _parallel_max(model, root_x, incumbent, deadline, threads)
     return Solution(
         x=incumbent.x,
         objective=incumbent.objective,
         status=TIMEOUT if timed_out else OPTIMAL,
         nodes_explored=nodes,
         wall_time=time.monotonic() - t0,
+        symmetry=symmetry,
     )
 
 
 def _parallel_max(model, frac, incumbent, deadline, threads):
+    try:
+        perms = model.symmetry(deadline)  # listed before the threads share the model
+    except BudgetExceededError:
+        return 1, True, 1
     depth = max(1, min(model.n, (2 * threads - 1).bit_length()))
     if frac is not None:
         ranked = sorted(
@@ -583,7 +660,7 @@ def _parallel_max(model, frac, incumbent, deadline, threads):
         t.join()
     nodes = sum(s.nodes for s in searches)
     timed_out = any(s.timed_out for s in searches)
-    return nodes, timed_out
+    return nodes, timed_out, 1 if perms is None else len(perms)
 
 
 def solve_feasible(model: IlpModel, target: int, budget: float = 60.0) -> Solution:
@@ -598,7 +675,7 @@ def solve_feasible(model: IlpModel, target: int, budget: float = 60.0) -> Soluti
         return Solution(x=(0,) * model.n, objective=0, status=FEASIBLE_FOUND, wall_time=0.0)
     deadline = t0 + budget
     lp = _Lp(model)
-    root_bound, _ = lp.solve()
+    root_bound, _ = lp.solve(time_limit=deadline - time.monotonic())
     if root_bound < target:
         return Solution(
             x=(0,) * model.n,
@@ -629,4 +706,5 @@ def solve_feasible(model: IlpModel, target: int, budget: float = 60.0) -> Soluti
         status=status,
         nodes_explored=search.nodes,
         wall_time=time.monotonic() - t0,
+        symmetry=search.symmetry,
     )

@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from pgarcs.condense import condense
 from pgarcs.errors import BudgetExceededError, ParseError
 from pgarcs.gf import Field, field_for_order
 from pgarcs.geometry import build_plane, incident
@@ -17,6 +19,7 @@ from pgarcs.group import (
     identity_element,
     inverse,
     make_element,
+    normalizer_permutations,
     orbits,
     parse_group_file,
     point_permutation,
@@ -247,3 +250,95 @@ def test_singular_matrix_rejected():
     f = Field(5)
     with pytest.raises(ValueError):
         make_element(f, ((1, 2, 3), (2, 4, 6), (0, 0, 1)))
+
+
+# -- the normalizer's permutations of the orbit variables ------------------
+
+
+def normalizer_of(plane, group, r=2):
+    od = orbits(plane, group)
+    cs = condense(plane, od, r)
+    return cs, normalizer_permutations(plane, od, cs.A, cs.w)
+
+
+def test_homology_centralizer_is_gl2():
+    plane = build_plane(Field(3))
+    homology = make_element(plane.spec, ((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+    cs, (order, perms) = normalizer_of(plane, closure(plane.spec, [homology]))
+    assert order == 48  # |GL(2,3)|
+    # the group itself acts trivially on its orbits, and nothing else does
+    assert len(perms) == 24
+    assert cs.ell == 9
+
+
+def test_trivial_group_gives_all_of_pgl3():
+    plane = build_plane(Field(3))
+    _, (order, perms) = normalizer_of(plane, closure(plane.spec, []))
+    assert order == len(perms) == 5616  # |PGL(3,3)|
+
+
+def assert_automorphisms(cs, perms):
+    """Each permutation, applied to the columns, permutes the rows of A and
+    fixes w; checked from the rows themselves, with no line permutation."""
+    rows = sorted(cs.A)
+    for sigma in perms.tolist():
+        assert [cs.w[j] for j in sigma] == list(cs.w)
+        assert sorted(tuple(row[j] for j in sigma) for row in cs.A) == rows
+
+
+def assert_group(perms):
+    elems = {tuple(p) for p in perms.tolist()}
+    assert len(elems) == len(perms)
+    assert tuple(range(perms.shape[1])) in elems
+    for a in elems:
+        for b in elems:
+            assert tuple(a[j] for j in b) in elems
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_normalizer_permutations_are_automorphisms(q):
+    plane = build_plane(field_for_order(q))
+    spec = plane.spec
+    rng = random.Random(q)
+    groups = [closure(spec, [random_invertible(spec, rng)]) for _ in range(4)]
+    groups.append(closure(spec, [make_element(spec, m) for m in S3_GENS]))
+    for group in groups:
+        cs, found = normalizer_of(plane, group)
+        alpha = random_invertible(spec, rng)
+        moved_cs, moved = normalizer_of(plane, conjugate_group(spec, alpha, group))
+        if found is None:
+            assert moved is None
+            continue
+        assert moved[0] == found[0] and moved[1].shape == found[1].shape
+        for system, (_, perms) in ((cs, found), (moved_cs, moved)):
+            assert perms.dtype == np.int16
+            assert_automorphisms(system, perms)
+            if len(perms) <= 200:
+                assert_group(perms)
+
+
+def test_normalizer_rejects_a_system_it_does_not_preserve():
+    plane = build_plane(Field(5))
+    od = orbits(plane, closure(plane.spec, [make_element(plane.spec, ((4, 0, 0), (0, 1, 0), (0, 0, 1)))]))
+    cs = condense(plane, od, 2)
+    w = list(cs.w)
+    w[0], w[-1] = w[-1] + 1, w[0]
+    with pytest.raises(RuntimeError):
+        normalizer_permutations(plane, od, cs.A, w)
+    A = [list(row) for row in cs.A]
+    A[0][0] += 1
+    with pytest.raises(RuntimeError):
+        normalizer_permutations(plane, od, A, cs.w)
+
+
+def test_normalizer_limits():
+    plane = build_plane(Field(5))
+    # all of PGL(3,5) has 488,281 candidate matrices, over the cap
+    assert normalizer_of(plane, closure(plane.spec, []))[1] is None
+    semilinear = GroupElement(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1)
+    plane4 = build_plane(field_for_order(4))
+    assert normalizer_of(plane4, closure(plane4.spec, [semilinear]))[1] is None
+    od = orbits(plane, closure(plane.spec, [make_element(plane.spec, ((4, 0, 0), (0, 1, 0), (0, 0, 1)))]))
+    cs = condense(plane, od, 2)
+    with pytest.raises(BudgetExceededError):
+        normalizer_permutations(plane, od, cs.A, cs.w, deadline=0.0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_cyclic_group
 from pgarcs import solver
 from pgarcs.arcs import load_corpus_arc
-from pgarcs.condense import condense
+from pgarcs.condense import condense, format_system, parse_system
 from pgarcs.errors import BudgetExceededError
 from pgarcs.gf import Field
 from pgarcs.group import closure, make_element, orbits
@@ -124,12 +124,24 @@ def test_solve_max_matches_brute_force_on_condensed(plane_for):
     database=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(q=st.sampled_from((2, 3, 4, 5)), seed=st.integers(0, 2**32 - 1), r=st.integers(1, 6))
-def test_solver_agrees_with_oracle_on_random_cyclic_groups(plane_for, q, seed, r):
+@given(
+    q=st.sampled_from((2, 3, 4, 5, 7)),
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 6),
+    generators=st.integers(1, 2),
+)
+def test_solver_agrees_with_oracle_on_random_cyclic_groups(plane_for, q, seed, r, generators):
+    # one random cyclic group, or the group that two of them generate,
+    # whose normalizer symmetry is the centralizers' intersection
     plane = plane_for(q)
-    od = orbits(plane, random_cyclic_group(plane.spec, random.Random(seed)))
-    cs = condense(plane, od, min(r, q + 1))
-    assume(cs.ell <= 20)
+    rng = random.Random(seed)
+    gens = [g for _ in range(generators) for g in random_cyclic_group(plane.spec, rng).generators]
+    try:
+        group = closure(plane.spec, gens, cap=5000)
+    except BudgetExceededError:
+        assume(False)
+    cs = condense(plane, orbits(plane, group), min(r, q + 1))
+    assume(cs.ell <= 22)
     model = IlpModel(cs)
     opt = exhaustive_oracle(model).objective
     sol = solve_max(model, budget=5)
@@ -140,6 +152,15 @@ def test_solver_agrees_with_oracle_on_random_cyclic_groups(plane_for, q, seed, r
     assert hit.status == FEASIBLE_FOUND
     assert model.check_feasible(hit.x)
     assert model.objective(hit.x) >= opt
+    # a bare branch and bound from an empty incumbent must branch, here
+    # under the normalizer's symmetry
+    search = _Search(model, _Lp(model), _Incumbent((0,) * model.n, 0), float("inf"))
+    search.run()
+    assert (search.timed_out, search.incumbent.objective) == (False, opt)
+    assert model.check_feasible(search.incumbent.x)
+    proof = _Search(model, _Lp(model), _Incumbent((0,) * model.n, 0), float("inf"), target=opt + 1)
+    proof.run()
+    assert (proof.timed_out, proof.target_hit) == (False, False)
 
 
 def test_q7_involution_class_proved_infeasible(plane_for):
@@ -180,6 +201,18 @@ def test_solve_feasible_timeout_on_hard_instance(plane_for):
     sol = solve_feasible(model, target=50, budget=0.5)
     assert sol.status == TIMEOUT
     assert sol.objective < 50
+
+
+def test_solve_feasible_honours_a_budget_shorter_than_its_root_lp(plane_for):
+    # the root LP over 333 orbits alone takes about 0.2 s
+    plane = plane_for(31)
+    pa = load_corpus_arc("q31_r25_n734.arc", plane=plane)
+    model = IlpModel(condense(plane, orbits(plane, closure(plane.spec, pa.group.generators)), 25))
+    budget = 0.02
+    t0 = time.monotonic()
+    sol = solve_feasible(model, target=734, budget=budget)
+    assert time.monotonic() - t0 <= budget + 0.1
+    assert sol.status == TIMEOUT
 
 
 def test_solve_feasible_honours_a_budget_shorter_than_its_lns(plane_for):
@@ -296,6 +329,7 @@ def test_determinism(plane_for):
     assert a.x == b.x
     assert a.objective == b.objective
     assert a.nodes_explored == b.nodes_explored
+    assert a.symmetry == b.symmetry
 
 
 def test_threads_same_optimum(plane_for):
@@ -362,3 +396,54 @@ def test_lns_trajectory_is_frozen(plane_for, monkeypatch):
         assert all(model.check_feasible(x) and model.objective(x) == obj for x, obj in offers[start:])
     assert len(offers) == 41
     assert hashlib.sha256(repr(offers).encode()).hexdigest() == LNS_TRAJECTORY_SHA256
+
+
+def test_orbital_branching_shrinks_the_q7_involution_proof(plane_for):
+    model = cyclic_model(plane_for, 7, C0_Q7, 3)
+    sol = solve_feasible(model, target=16, budget=10)
+    assert sol.status == PROVED_INFEASIBLE
+    assert sol.symmetry == 1008  # GL(2,7) modulo the involution
+    # a parsed system carries no group: the plain search, same verdict
+    parsed = IlpModel(parse_system(format_system(model.system)))
+    assert parsed.symmetry() is None
+    plain = solve_feasible(parsed, target=16, budget=10)
+    assert plain.status == PROVED_INFEASIBLE
+    assert plain.symmetry == 1
+    assert plain.nodes_explored > 5 * sol.nodes_explored
+
+
+def test_parsed_system_reaches_the_same_optimum(plane_for):
+    model = full_plane_model(plane_for, 3, 2)
+    parsed = IlpModel(parse_system(format_system(model.system)))
+    a, b = solve_max(model, budget=60), solve_max(parsed, budget=60)
+    assert (a.status, b.status) == (OPTIMAL, OPTIMAL)
+    assert a.objective == b.objective == exhaustive_oracle(model).objective
+    assert (a.symmetry, b.symmetry) == (5616, 1)
+
+
+def test_symmetry_listing_honours_the_deadline(plane_for, monkeypatch):
+    model = full_plane_model(plane_for, 3, 2)
+    with pytest.raises(BudgetExceededError):
+        model.symmetry(0.0)
+    # the listing is retried by the next caller, not given up
+    assert len(model.symmetry()) == 5616
+
+    def late(deadline):
+        raise BudgetExceededError("deadline passed while listing the normalizer")
+
+    fresh = full_plane_model(plane_for, 3, 2)
+    monkeypatch.setattr(fresh, "symmetry", late)
+    search = _Search(fresh, _Lp(fresh), _Incumbent((0,) * fresh.n, 0), float("inf"))
+    search.run()
+    assert search.timed_out and search.nodes == 1
+
+
+def test_search_from_a_prefix_starts_from_its_stabilizer(plane_for):
+    # the 13 points of PG(2,3) under all of PGL(3,3): only the permutations
+    # that map the prefix's fixings onto themselves may be used below it
+    model = full_plane_model(plane_for, 3, 2)
+    for prefix in (((0, 1),), ((0, 0),), ((0, 1), (5, 0)), ((3, 1), (4, 1), (0, 0))):
+        search = _Search(model, _Lp(model), _Incumbent((0,) * model.n, 0), float("inf"))
+        search.run(prefix)
+        assert search.symmetry < 5616
+        assert search.incumbent.objective == brute_force_best(model, dict(prefix))
