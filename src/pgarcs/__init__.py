@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 
 from .errors import BudgetExceededError, NotAdmittedError, ParseError
 from .gf import Field, field_for_order, is_irreducible, parse_field_spec
-from .geometry import Plane, build_plane, gaussian_number, incidence_matrix, incident
+from .geometry import Plane, build_plane, gaussian_number, incident
 from .group import (
     Group,
     GroupElement,

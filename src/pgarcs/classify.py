@@ -20,14 +20,13 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .condense import condense
 from .errors import BudgetExceededError
 from .geometry import build_plane
 from .gf import Field, is_prime
-from .group import GroupElement, closure, make_element, matmul3, orbits
+from .group import GroupElement, closure, det3, make_element, matmul3, orbits
 from .solver import (
     FEASIBLE_FOUND,
     PROVED_INFEASIBLE,
@@ -68,12 +67,7 @@ def char_poly(spec: Field, m):
     minors = add[
         add[add[mul[e][i]][neg[mul[f][h]]]][add[mul[a][i]][neg[mul[c][g]]]]
     ][add[mul[a][e]][neg[mul[b][d]]]]
-    det = add[
-        add[mul[a][add[mul[e][i]][neg[mul[f][h]]]]][
-            neg[mul[b][add[mul[d][i]][neg[mul[f][g]]]]]
-        ]
-    ][mul[c][add[mul[d][h]][neg[mul[e][g]]]]]
-    return (neg[det], minors, neg[tr], 1)
+    return (neg[det3(spec, m)], minors, neg[tr], 1)
 
 
 def _poly_div_exact(spec: Field, num, den):
@@ -141,8 +135,6 @@ def _matrix_annihilated(spec, m, m2, poly):
 
 def canonical_label(spec: Field, m):
     """Invariant factors of the matrix: equal labels iff GL-conjugate."""
-    from .group import det3
-
     if det3(spec, m) == 0:
         raise ValueError("matrix is singular")
     cp = char_poly(spec, m)
@@ -371,8 +363,12 @@ def run_exclusion(
     downgrades to RigidOrListedGroups; no exclusions at all is
     Inconclusive.  Timeouts are recorded, never raised.  With a
     checkpoint path, per-class results are flushed after every class and
-    reused on resume.
+    reused on resume.  Classes are solved one at a time, so `threads`
+    must be 1; the keyword is kept because callers, the benchmark among
+    them, pass threads=1.
     """
+    if threads != 1:
+        raise ValueError(f"threads={threads}: the sweep solves one class at a time")
     classes = enumerate_cyclic_classes(p)
     plane = build_plane(Field(p))
     skip = set(skip)
@@ -380,30 +376,15 @@ def run_exclusion(
     records = _load_checkpoint(checkpoint, key)
     for rec in records.values():
         rec.setdefault("symmetry", 1)  # written before the search used any
-    todo = [
-        rep
-        for rep in classes
-        if not rep.is_trivial and rep.class_id not in skip and rep.class_id not in records
-    ]
-
-    def work(rep):
+    for rep in classes:
+        if rep.is_trivial or rep.class_id in skip or rep.class_id in records:
+            continue
         rec = _solve_class(plane, rep, r, n, budget_per_class)
         if progress:
             progress(rec)
-        return rec
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for rec in pool.map(work, todo):
-                records[rec["id"]] = rec
-                if checkpoint:
-                    _save_checkpoint(checkpoint, key, records)
-    else:
-        for rep in todo:
-            rec = work(rep)
-            records[rec["id"]] = rec
-            if checkpoint:
-                _save_checkpoint(checkpoint, key, records)
+        records[rec["id"]] = rec
+        if checkpoint:
+            _save_checkpoint(checkpoint, key, records)
 
     for rep in classes:
         if not rep.is_trivial and rep.class_id in skip and rep.class_id not in records:

@@ -145,12 +145,7 @@ def cmd_solve(args):
     if args.target is not None:
         sol = solve_feasible(model, target=args.target, budget=args.budget)
     else:
-        sol = solve_max(
-            model,
-            budget=args.budget,
-            threads=args.threads,
-            deterministic=args.deterministic,
-        )
+        sol = solve_max(model, budget=args.budget, deterministic=args.deterministic)
     lines = [
         f"version={__version__}",
         f"input_sha256={_digest(args.system)}",
@@ -188,7 +183,6 @@ def cmd_exclude(args):
         args.n,
         budget_per_class=args.budget_per_class,
         skip=skip,
-        threads=args.threads,
         checkpoint=args.resume,
         progress=progress,
     )
@@ -325,7 +319,6 @@ def build_parser():
     p.add_argument("--system", required=True)
     p.add_argument("--target", type=int, help="stop at this objective (feasibility mode)")
     p.add_argument("--budget", type=float, default=60.0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--deterministic", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
@@ -335,7 +328,6 @@ def build_parser():
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget-per-class", type=float, default=60.0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--skip", help="comma-separated class ids to skip")
     p.add_argument("--resume", help="checkpoint file; per-class results are reused")
     p.add_argument("--deterministic", action="store_true")

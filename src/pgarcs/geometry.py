@@ -17,9 +17,7 @@ from .gf import Field
 __all__ = [
     "Plane",
     "build_plane",
-    "dump_matrix",
     "gaussian_number",
-    "incidence_matrix",
     "incident",
     "normalize_triple",
 ]
@@ -114,25 +112,3 @@ def build_plane(spec: Field) -> Plane:
 def incident(spec: Field, line, point) -> bool:
     """True iff the point lies on the line (dual dot product vanishes)."""
     return dot(spec, line, point) == 0
-
-
-def incidence_matrix(plane: Plane) -> np.ndarray:
-    """The (q^2+q+1)^2 0/1 matrix, rows indexed by lines."""
-    return plane.inc.copy()
-
-
-def dump_matrix(mat) -> str:
-    """Text dump: '<rows> <cols>' then one space-separated row per line."""
-    mat = np.asarray(mat)
-    rows = [f"{mat.shape[0]} {mat.shape[1]}"]
-    rows.extend(" ".join(str(int(v)) for v in row) for row in mat)
-    return "\n".join(rows) + "\n"
-
-
-def parse_matrix(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    r, c = (int(v) for v in lines[0].split())
-    mat = np.array([[int(v) for v in ln.split()] for ln in lines[1 : r + 1]], dtype=np.int64)
-    if mat.shape != (r, c):
-        raise ValueError("matrix dump header does not match body")
-    return mat

@@ -17,8 +17,9 @@ deterministic=True runs it to the end and replays bit-identically;
 solve_feasible and other runs stop it at the deadline.  A chunked
 exhaustive oracle covers tiny instances.  Budget exhaustion is reported
 as a Timeout status, never an error; the root LP gets the remaining
-budget as its time limit, and a limited root counts as no optimum.  The
-optional thread pool only shares a monotone incumbent.
+budget as its time limit, and a limited root counts as no optimum.
+solve_max and solve_feasible share one body and run one single-threaded
+search from the root.
 
 A system condensed from a group G carries the symmetry of the normalizer
 N(G) in PGL(3,q), which maps G-invariant arcs to G-invariant arcs and so
@@ -27,10 +28,9 @@ by orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, Math.
 Prog. 126, 2011).  A node holds a group of variable permutations that
 maps its fixings onto themselves: at the root the permutations listed
 for the model (group.normalizer_permutations, each checked to preserve A
-and w), cut down to the setwise stabilizer of a starting prefix.  It
-branches on the usual variable j: the 1-child fixes x_j = 1 and keeps
-the stabilizer of j, the 0-child fixes the whole orbit of j to 0 and
-keeps the group.  Any selection of the node with some x_i = 1 on that
+and w).  It branches on the usual variable j: the 1-child fixes x_j = 1
+and keeps the stabilizer of j, the 0-child fixes the whole orbit of j to
+0 and keeps the group.  Any selection of the node with some x_i = 1 on that
 orbit is mapped by the group onto one with x_j = 1, feasible, of the
 same weight and still inside the node, so the children lose no optimum
 and no witness.  The list is built when a search first branches.
@@ -39,10 +39,9 @@ and no witness.  The list is built when a search first branches.
 from __future__ import annotations
 
 import random
-import threading
 import time
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import compress
 
 import numpy as np
 
@@ -303,20 +302,17 @@ def exhaustive_oracle(model: IlpModel) -> Solution:
 
 
 class _Incumbent:
-    """Monotone best-known feasible solution, shared across workers."""
+    """Monotone best-known feasible solution."""
 
     def __init__(self, x, objective):
         self.x = x
         self.objective = objective
-        self._lock = threading.Lock()
 
     def offer(self, x, objective):
         if objective > self.objective:
-            with self._lock:
-                if objective > self.objective:
-                    self.x = x
-                    self.objective = objective
-                    return True
+            self.x = x
+            self.objective = objective
+            return True
         return False
 
 
@@ -324,7 +320,7 @@ _UNLISTED = object()  # a search's group until its root first branches
 
 
 class _Search:
-    """One depth-first branch-and-bound pass over a subtree, bounding with
+    """One depth-first branch-and-bound pass from the root, bounding with
     its own LP, whose column bounds follow the assignment trail."""
 
     def __init__(self, model, lp, incumbent, deadline, target=None):
@@ -385,15 +381,10 @@ class _Search:
     # -- symmetry ---------------------------------------------------------
 
     def _root_group(self):
-        """The model's symmetry, cut down to the setwise stabilizer of the
-        fixings the search starts from (a prefix, or none)."""
+        """The model's symmetry, None when it has no nontrivial permutation."""
         perms = self.model.symmetry(self.deadline)
         if perms is None:
             return None
-        for v in (0, 1):
-            fixed = [j for j, x in enumerate(self.value) if x == v]
-            if fixed:
-                perms = perms[np.isin(perms[:, fixed], fixed).all(axis=1)]
         self.symmetry = len(perms)
         return perms if len(perms) > 1 else None
 
@@ -462,11 +453,7 @@ class _Search:
             [("unset", orbit), ("set", orbit, 0, self.group), ("unset", (j_star,)), ("set", (j_star,), 1, stab)]
         )
 
-    def run(self, prefix=()):
-        for j, v in prefix:
-            self._set(j, v)
-        if self.violations:
-            return
+    def run(self):
         stack = []
         self._eval(stack)
         while stack and not self.timed_out and not self.target_hit:
@@ -577,6 +564,37 @@ def _initial_incumbent(model, budget, deadline, deterministic, root_bound, targe
     return incumbent
 
 
+def _solve(model, budget, deterministic, target=None):
+    """The body of solve_max (target None) and solve_feasible."""
+    t0 = time.monotonic()
+
+    def done(x, objective, status, nodes, symmetry=1):
+        wall = time.monotonic() - t0
+        return Solution(x=x, objective=objective, status=status, nodes_explored=nodes, wall_time=wall, symmetry=symmetry)
+
+    if target is not None and target <= 0:
+        return done((0,) * model.n, 0, FEASIBLE_FOUND, 0)
+    deadline = t0 + budget
+    lp = _Lp(model)
+    root_bound, _ = lp.solve(time_limit=deadline - time.monotonic())
+    if target is not None and root_bound < target:
+        return done((0,) * model.n, 0, PROVED_INFEASIBLE, 1)
+    incumbent = _initial_incumbent(model, budget, deadline, deterministic, root_bound, target=target)
+    if target is not None and incumbent.objective >= target:
+        return done(incumbent.x, incumbent.objective, FEASIBLE_FOUND, 0)
+    if incumbent.objective >= root_bound:  # with a target, root_bound >= target > incumbent
+        return done(incumbent.x, incumbent.objective, OPTIMAL, 1)
+    search = _Search(model, lp, incumbent, deadline, target=target)
+    search.run()
+    if search.target_hit:
+        status = FEASIBLE_FOUND
+    elif search.timed_out:
+        status = TIMEOUT
+    else:
+        status = OPTIMAL if target is None else PROVED_INFEASIBLE
+    return done(incumbent.x, incumbent.objective, status, search.nodes, search.symmetry)
+
+
 def solve_max(
     model: IlpModel,
     budget: float = 60.0,
@@ -586,81 +604,13 @@ def solve_max(
     """Branch and bound to a proven optimum within the time budget.
 
     Returns status Optimal when the search tree is exhausted, otherwise
-    Timeout carrying the best incumbent found.
+    Timeout carrying the best incumbent found.  A solve is one
+    single-threaded search, so `threads` must be 1; the keyword is kept
+    because callers, the benchmark among them, pass threads=1.
     """
-    t0 = time.monotonic()
-    deadline = t0 + budget
-    if deterministic:
-        threads = 1
-    lp = _Lp(model)
-    root_bound, root_x = lp.solve(time_limit=deadline - time.monotonic())
-    incumbent = _initial_incumbent(model, budget, deadline, deterministic, root_bound)
-    if incumbent.objective >= root_bound:
-        return Solution(
-            x=incumbent.x,
-            objective=incumbent.objective,
-            status=OPTIMAL,
-            nodes_explored=1,
-            wall_time=time.monotonic() - t0,
-        )
-    if threads <= 1:
-        search = _Search(model, lp, incumbent, deadline)
-        search.run()
-        nodes, timed_out, symmetry = search.nodes, search.timed_out, search.symmetry
-    else:
-        nodes, timed_out, symmetry = _parallel_max(model, root_x, incumbent, deadline, threads)
-    return Solution(
-        x=incumbent.x,
-        objective=incumbent.objective,
-        status=TIMEOUT if timed_out else OPTIMAL,
-        nodes_explored=nodes,
-        wall_time=time.monotonic() - t0,
-        symmetry=symmetry,
-    )
-
-
-def _parallel_max(model, frac, incumbent, deadline, threads):
-    try:
-        perms = model.symmetry(deadline)  # listed before the threads share the model
-    except BudgetExceededError:
-        return 1, True, 1
-    depth = max(1, min(model.n, (2 * threads - 1).bit_length()))
-    if frac is not None:
-        ranked = sorted(
-            range(model.n),
-            key=lambda j: (-min(frac[j], 1.0 - frac[j]), -model.w[j], j),
-        )
-    else:
-        ranked = sorted(range(model.n), key=lambda j: (-model.w[j], j))
-    split_vars = ranked[:depth]
-    searches = []
-    jobs = []
-    for assignment in product((1, 0), repeat=len(split_vars)):
-        prefix = tuple(zip(split_vars, assignment))
-        s = _Search(model, _Lp(model), incumbent, deadline)
-        searches.append(s)
-        jobs.append((s, prefix))
-    threads_list = []
-    queue = list(jobs)
-    qlock = threading.Lock()
-
-    def worker():
-        while True:
-            with qlock:
-                if not queue:
-                    return
-                s, prefix = queue.pop(0)
-            s.run(prefix)
-
-    for _ in range(threads):
-        t = threading.Thread(target=worker)
-        t.start()
-        threads_list.append(t)
-    for t in threads_list:
-        t.join()
-    nodes = sum(s.nodes for s in searches)
-    timed_out = any(s.timed_out for s in searches)
-    return nodes, timed_out, 1 if perms is None else len(perms)
+    if threads != 1:
+        raise ValueError(f"threads={threads}: a solve runs one single-threaded search")
+    return _solve(model, budget, deterministic)
 
 
 def solve_feasible(model: IlpModel, target: int, budget: float = 60.0) -> Solution:
@@ -670,41 +620,4 @@ def solve_feasible(model: IlpModel, target: int, budget: float = 60.0) -> Soluti
     ProvedInfeasible when the exhausted search shows the maximum is below
     it, Timeout otherwise.
     """
-    t0 = time.monotonic()
-    if target <= 0:
-        return Solution(x=(0,) * model.n, objective=0, status=FEASIBLE_FOUND, wall_time=0.0)
-    deadline = t0 + budget
-    lp = _Lp(model)
-    root_bound, _ = lp.solve(time_limit=deadline - time.monotonic())
-    if root_bound < target:
-        return Solution(
-            x=(0,) * model.n,
-            objective=0,
-            status=PROVED_INFEASIBLE,
-            nodes_explored=1,
-            wall_time=time.monotonic() - t0,
-        )
-    incumbent = _initial_incumbent(model, budget, deadline, False, root_bound, target=target)
-    if incumbent.objective >= target:
-        return Solution(
-            x=incumbent.x,
-            objective=incumbent.objective,
-            status=FEASIBLE_FOUND,
-            wall_time=time.monotonic() - t0,
-        )
-    search = _Search(model, lp, incumbent, deadline, target=target)
-    search.run()
-    if search.target_hit:
-        status = FEASIBLE_FOUND
-    elif search.timed_out:
-        status = TIMEOUT
-    else:
-        status = PROVED_INFEASIBLE
-    return Solution(
-        x=incumbent.x,
-        objective=incumbent.objective,
-        status=status,
-        nodes_explored=search.nodes,
-        wall_time=time.monotonic() - t0,
-        symmetry=search.symmetry,
-    )
+    return _solve(model, budget, False, target=target)

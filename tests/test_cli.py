@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pgarcs import cli
 
 
@@ -24,6 +26,14 @@ def test_solve_deterministic_replays(tmp_path, capsys):
 
 
 EXCLUDE_Q3 = ["exclude", "--q", "3", "--r", "2", "--n", "5", "--budget-per-class", "10"]
+
+
+@pytest.mark.parametrize("command", (["solve", "--system", "x.sys"], EXCLUDE_Q3))
+def test_threads_flag_is_rejected(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_exclude_deterministic_replays(tmp_path, capsys):

@@ -6,12 +6,9 @@ import pytest
 from pgarcs.gf import Field, field_for_order
 from pgarcs.geometry import (
     build_plane,
-    dump_matrix,
     gaussian_number,
-    incidence_matrix,
     incident,
     normalize_triple,
-    parse_matrix,
 )
 
 
@@ -87,7 +84,7 @@ def test_line_sizes_q16():
 def test_incidence_matrix_row_col_sums():
     for q in (2, 3, 5):
         plane = build_plane(Field(q))
-        mat = incidence_matrix(plane)
+        mat = plane.inc
         assert (mat.sum(axis=1) == q + 1).all()
         assert (mat.sum(axis=0) == q + 1).all()
 
@@ -113,7 +110,7 @@ def test_matrix_matches_incidence_lists_q5():
 def test_duality_small_q():
     for q in (2, 3, 4, 5, 7, 8, 9):
         plane = build_plane(field_for_order(q))
-        mat = incidence_matrix(plane)
+        mat = plane.inc
         # swapping the roles of points and lines gives the transpose
         dual = np.array(
             [
@@ -142,11 +139,3 @@ def test_counts_match_gaussian():
         plane = build_plane(field_for_order(q))
         assert plane.n == gaussian_number(3, 1, q)
         assert len(plane.lines) == gaussian_number(3, 2, q)
-
-
-def test_matrix_dump_round_trip():
-    plane = build_plane(Field(3))
-    mat = incidence_matrix(plane)
-    text = dump_matrix(mat)
-    assert text.splitlines()[0] == "13 13"
-    assert (parse_matrix(text) == mat).all()

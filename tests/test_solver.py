@@ -332,14 +332,6 @@ def test_determinism(plane_for):
     assert a.symmetry == b.symmetry
 
 
-def test_threads_same_optimum(plane_for):
-    model = full_plane_model(plane_for, 3, 2)
-    seq = solve_max(model, budget=60, deterministic=True)
-    par = solve_max(model, budget=60, threads=2, deterministic=False)
-    assert par.status == OPTIMAL
-    assert par.objective == seq.objective
-
-
 def test_trivial_group_condensation_solves_identically(plane_for):
     plane = plane_for(3)
     od = orbits(plane, closure(plane.spec, []))
@@ -438,12 +430,30 @@ def test_symmetry_listing_honours_the_deadline(plane_for, monkeypatch):
     assert search.timed_out and search.nodes == 1
 
 
-def test_search_from_a_prefix_starts_from_its_stabilizer(plane_for):
-    # the 13 points of PG(2,3) under all of PGL(3,3): only the permutations
-    # that map the prefix's fixings onto themselves may be used below it
-    model = full_plane_model(plane_for, 3, 2)
-    for prefix in (((0, 1),), ((0, 0),), ((0, 1), (5, 0)), ((3, 1), (4, 1), (0, 0))):
-        search = _Search(model, _Lp(model), _Incumbent((0,) * model.n, 0), float("inf"))
-        search.run(prefix)
-        assert search.symmetry < 5616
-        assert search.incumbent.objective == brute_force_best(model, dict(prefix))
+# (q, r, generator, target) -> (status, objective, nodes_explored, symmetry)
+# on each return path of the body that solve_max (target None) and
+# solve_feasible share, as recorded before they shared it
+RETURN_PATHS = {
+    "target_not_positive": ((2, 2, None, 0), (FEASIBLE_FOUND, 0, 0, 1)),
+    "root_bound_below_target": ((2, 2, None, 8), (PROVED_INFEASIBLE, 0, 1, 1)),
+    "heuristic_reaches_target": ((3, 3, None, 9), (FEASIBLE_FOUND, 9, 0, 1)),
+    "heuristic_meets_root_bound": ((3, 4, None, None), (OPTIMAL, 13, 1, 1)),
+    "search_proves_optimum": ((3, 2, None, None), (OPTIMAL, 4, 9, 5616)),
+    "search_proves_infeasible": ((7, 3, C0_Q7, 16), (PROVED_INFEASIBLE, 15, 107, 1008)),
+}
+
+
+@pytest.mark.parametrize("path", sorted(RETURN_PATHS))
+def test_return_paths_keep_their_status_and_counts(plane_for, path):
+    (q, r, matrix, target), want = RETURN_PATHS[path]
+    model = full_plane_model(plane_for, q, r) if matrix is None else cyclic_model(plane_for, q, matrix, r)
+    sol = solve_max(model) if target is None else solve_feasible(model, target)
+    assert (sol.status, sol.objective, sol.nodes_explored, sol.symmetry) == want
+    assert model.check_feasible(sol.x) and model.objective(sol.x) == sol.objective
+
+
+def test_a_solve_accepts_only_one_thread(plane_for):
+    model = full_plane_model(plane_for, 2, 2)
+    with pytest.raises(ValueError):
+        solve_max(model, threads=2)
+    assert solve_max(model, threads=1).status == OPTIMAL
