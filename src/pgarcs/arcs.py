@@ -12,19 +12,21 @@ exhaustive codeword enumeration so the two views can be cross-checked.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
 
 from .errors import ParseError
-from .geometry import Plane, build_plane, normalize_triple
+from .geometry import Plane, _normalized_triples, build_plane, normalize_triple
 from .gf import Field, is_prime
 from .group import (
     Group,
     GroupElement,
+    _null_space,
     apply_to_point,
     closure,
+    format_group_file,
     parse_group_file,
     point_permutation,
     transpose_element,
@@ -36,6 +38,7 @@ __all__ = [
     "CORPUS",
     "ParsedArc",
     "admits_group",
+    "admitted_group",
     "corpus_text",
     "format_arc_file",
     "load_corpus_arc",
@@ -78,13 +81,7 @@ class ArcReport:
     group_admitted: bool | None = None
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "max_multiplicity": self.max_multiplicity,
-            "lines_at_max": self.lines_at_max,
-            "is_arc_for_claimed_r": self.is_arc_for_claimed_r,
-            "group_admitted": self.group_admitted,
-        }
+        return asdict(self)
 
 
 def verify_arc(arc: Arc, group: Group | None = None) -> ArcReport:
@@ -119,6 +116,21 @@ def admits_group(arc: Arc, group: Group) -> bool:
     return True
 
 
+def admitted_group(arc: Arc, generators):
+    """(group, convention, admitted): the group the generators make under
+    the column action if it stabilizes the arc, else under the transposed
+    ("row") action if that one does, else the column group with
+    convention None and admitted False."""
+    spec = arc.plane.spec
+    group = closure(spec, generators)
+    if admits_group(arc, group):
+        return group, "column", True
+    transposed = closure(spec, [transpose_element(spec, g) for g in generators])
+    if admits_group(arc, transposed):
+        return transposed, "row", True
+    return group, None, False
+
+
 def map_arc(alpha: GroupElement, arc: Arc) -> Arc:
     """Image arc under an invertible collineation; same cardinality."""
     spec = arc.plane.spec
@@ -135,31 +147,6 @@ def to_generator_matrix(arc: Arc):
     return tuple(tuple(col[i] for col in cols) for i in range(3))
 
 
-def _rank3(spec: Field, rows):
-    mat = [list(r) for r in rows]
-    rank = 0
-    ncols = len(mat[0])
-    col = 0
-    while rank < 3 and col < ncols:
-        piv = next((i for i in range(rank, 3) if mat[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = spec.inv_t[mat[rank][col]]
-        mat[rank] = [spec.mul_t[inv][v] for v in mat[rank]]
-        for i in range(3):
-            if i != rank and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [
-                    spec.add_t[v][spec.neg_t[spec.mul_t[c][u]]]
-                    for v, u in zip(mat[i], mat[rank])
-                ]
-        rank += 1
-        col += 1
-    return rank
-
-
 def min_distance(spec: Field, gen) -> int:
     """Minimum Hamming weight over all nonzero codewords of the code
     generated by the 3 x n matrix, by exhaustive message enumeration.
@@ -167,14 +154,10 @@ def min_distance(spec: Field, gen) -> int:
     Scalar multiples share a weight, so one message per projective class
     covers all q^3 - 1 nonzero messages.
     """
-    if _rank3(spec, gen) < 3:
+    if _null_space(spec, zip(*gen), 3):  # some message is orthogonal to every column
         raise ValueError("generator matrix must have rank 3")
-    q = spec.q
     G = np.array(gen, dtype=np.int16)
-    msgs = [(0, 0, 1)]
-    msgs.extend((0, 1, c) for c in range(q))
-    msgs.extend((1, b, c) for b in range(q) for c in range(q))
-    M = np.array(msgs, dtype=np.int16)
+    M = np.array(_normalized_triples(spec.q), dtype=np.int16)
     mul = spec.mul_np
     add = spec.add_np
     words = add[add[mul[M[:, 0]][:, G[0]], mul[M[:, 1]][:, G[1]]], mul[M[:, 2]][:, G[2]]]
@@ -288,37 +271,18 @@ def parse_arc_file(text: str, plane: Plane | None = None) -> ParsedArc:
         raise ParseError("no points given")
     arc = Arc(plane=plane, points=tuple(sorted(indices)), r_claimed=r)
 
-    group = None
-    convention = None
-    admitted = None
+    group = convention = admitted = None
     if group_lines:
         gens = parse_group_file("\n".join(group_lines), spec)
-        group = closure(spec, gens)
-        if admits_group(arc, group):
-            convention, admitted = "column", True
-        else:
-            transposed = closure(spec, [transpose_element(spec, g) for g in gens])
-            if admits_group(arc, transposed):
-                group, convention, admitted = transposed, "row", True
-            else:
-                admitted = False
+        group, convention, admitted = admitted_group(arc, gens)
     return ParsedArc(spec=spec, arc=arc, group=group, convention=convention, admitted=admitted)
 
 
 def format_arc_file(spec: Field, points, r: int, plane: Plane, generators=()) -> str:
     """Serialize an arc (and optional generators) in the arc file grammar."""
-    out = [f"q={spec.q}", f"p={spec.p}", f"e={spec.e}"]
-    if spec.e > 1:
-        out.append("poly=" + ",".join(str(c) for c in spec.poly))
-    out.append(f"r={r}")
+    out = [f"q={spec.q}", *spec.spec_string().split(), f"r={r}"]
     if generators:
-        out.append("group-begin")
-        for g in generators:
-            row = " ".join(str(v) for rw in g.mat for v in rw)
-            if g.frob:
-                row += f" frob={g.frob}"
-            out.append(row)
-        out.append("group-end")
+        out += ["group-begin", *format_group_file(generators).splitlines(), "group-end"]
     out.append("points:")
     pts = [plane.points[i] for i in sorted(points)]
     for start in range(0, len(pts), 8):

@@ -20,26 +20,30 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import combinations
 
 from .condense import condense
 from .errors import BudgetExceededError
 from .geometry import build_plane
 from .gf import Field, is_prime
-from .group import GroupElement, closure, det3, make_element, matmul3, orbits
-from .solver import (
-    FEASIBLE_FOUND,
-    PROVED_INFEASIBLE,
-    TIMEOUT,
-    IlpModel,
-    solve_feasible,
+from .group import (
+    GroupElement,
+    _is_scalar,
+    char_poly,
+    closure,
+    det3,
+    make_element,
+    matmul3,
+    orbits,
+    scalar_powers,
 )
+from .solver import PROVED_INFEASIBLE, IlpModel, solve_feasible
 
 __all__ = [
     "ConjClassRep",
     "ExclusionReport",
     "canonical_label",
-    "char_poly",
     "enumerate_cyclic_classes",
     "format_class_list",
     "gl3_class_representatives",
@@ -55,19 +59,6 @@ ENUMERATION_MAX_P = 13
 VERDICT_RIGID = "RigidOrNonexistent"
 VERDICT_LISTED = "RigidOrListedGroups"
 VERDICT_INCONCLUSIVE = "Inconclusive"
-
-
-def char_poly(spec: Field, m):
-    """Monic characteristic polynomial, coefficients low degree first."""
-    mul = spec.mul_t
-    add = spec.add_t
-    neg = spec.neg_t
-    (a, b, c), (d, e, f), (g, h, i) = m
-    tr = add[add[a][e]][i]
-    minors = add[
-        add[add[mul[e][i]][neg[mul[f][h]]]][add[mul[a][i]][neg[mul[c][g]]]]
-    ][add[mul[a][e]][neg[mul[b][d]]]]
-    return (neg[det3(spec, m)], minors, neg[tr], 1)
 
 
 def _poly_div_exact(spec: Field, num, den):
@@ -87,9 +78,8 @@ def _poly_div_exact(spec: Field, num, den):
 
 def min_poly(spec: Field, m):
     """Monic minimal polynomial of a 3x3 matrix (degree 1, 2 or 3)."""
-    (a, b, c), (d, e, f), (g, h, i) = m
-    if b == c == d == f == g == h == 0 and a == e == i:
-        return (spec.neg_t[a], 1)
+    if _is_scalar(m):
+        return (spec.neg_t[m[0][0]], 1)
     m2 = matmul3(spec, m, m)
     # is m^2 in the span of I and m?  solve b0*I + b1*m = -m^2
     b0 = b1 = None
@@ -102,9 +92,9 @@ def min_poly(spec: Field, m):
             b1 = spec.mul_t[rhs][spec.inv_t[c1]]
             break
     if b1 is None:
-        # every off-diagonal of m is 0 handled above, so some c1 != 0 with
-        # c0 != 0 remains; eliminate pairwise
-        for (c0, c1, r1), (d0, d1, r2) in zip(eqs, eqs[1:]):
+        # m is diagonal and not scalar, so two diagonal equations with
+        # different entries of m determine b1
+        for (c0, c1, r1), (d0, d1, r2) in combinations(eqs, 2):
             det = spec.add_t[spec.mul_t[c0][d1]][spec.neg_t[spec.mul_t[c1][d0]]]
             if det:
                 num = spec.add_t[spec.mul_t[c0][r2]][spec.neg_t[spec.mul_t[d0][r1]]]
@@ -190,19 +180,7 @@ def gl3_class_representatives(p: int):
 
 def projective_order(spec: Field, m) -> int:
     """Least k >= 1 with m^k scalar."""
-
-    def is_scalar(x):
-        return (
-            x[0][1] == x[0][2] == x[1][0] == x[1][2] == x[2][0] == x[2][1] == 0
-            and x[0][0] == x[1][1] == x[2][2]
-        )
-
-    acc = m
-    for k in range(1, spec.q**2 + spec.q + 2):
-        if is_scalar(acc):
-            return k
-        acc = matmul3(spec, acc, m)
-    raise AssertionError("projective order exceeded the group exponent bound")
+    return len(scalar_powers(spec, m))
 
 
 @dataclass(frozen=True)
@@ -223,13 +201,9 @@ class ConjClassRep:
         return self.projective_order == 1
 
 
-def _subgroup_signature(spec, m, order):
-    powers = {}
-    acc = m
-    for k in range(1, order + 1):
-        powers[k] = acc
-        acc = matmul3(spec, acc, m)
-    sig = {pgl_label(spec, powers[k]) for k in powers if math.gcd(k, order) == 1}
+def _subgroup_signature(spec, powers):
+    """Sorted labels of the generators of <m>, from scalar_powers(m)."""
+    sig = {pgl_label(spec, m) for k, m in enumerate(powers, 1) if math.gcd(k, len(powers)) == 1}
     return tuple(sorted(sig))
 
 
@@ -255,8 +229,9 @@ def enumerate_cyclic_classes(p: int):
             by_label[lab] = m
     items = []
     for lab, m in by_label.items():
-        order = projective_order(spec, m)
-        sig = _subgroup_signature(spec, m, order)
+        powers = scalar_powers(spec, m)
+        order = len(powers)
+        sig = _subgroup_signature(spec, powers)
         items.append((order, sig, lab, m))
     items.sort(key=lambda t: t[:3])
     return [
@@ -299,22 +274,14 @@ class ExclusionReport:
     classes: tuple = field(default_factory=tuple)
 
     def to_dict(self):
-        return {
-            "q": self.q,
-            "r": self.r,
-            "n": self.n,
-            "excluded": list(self.excluded),
-            "undecided": list(self.undecided),
-            "verdict": self.verdict,
-            "classes": [dict(c) for c in self.classes],
-        }
+        return asdict(self)  # copies the class records, so callers may edit them
 
 
 def _solve_class(plane, rep, r, n, budget):
     t0 = time.monotonic()
     group = closure(plane.spec, [rep.generator])
     od = orbits(plane, group)
-    cs = condense(plane, od, r, provenance=f"class {rep.class_id}")
+    cs = condense(plane, od, r)
     sol = solve_feasible(IlpModel(cs), target=n, budget=budget)
     return {
         "id": rep.class_id,

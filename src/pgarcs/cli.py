@@ -19,7 +19,7 @@ from importlib import resources
 
 from . import __version__
 from .arcs import (
-    CORPUS,
+    admitted_group,
     load_corpus_arc,
     min_distance,
     parse_arc_file,
@@ -36,16 +36,8 @@ from .condense import condense, format_system, parse_system
 from .errors import BudgetExceededError, ParseError
 from .geometry import build_plane
 from .gf import field_for_order, parse_field_spec
-from .group import closure, orbits, parse_group_file, transpose_element
-from .solver import (
-    OPTIMAL,
-    PROVED_INFEASIBLE,
-    TIMEOUT,
-    IlpModel,
-    exhaustive_oracle,
-    solve_feasible,
-    solve_max,
-)
+from .group import closure, orbits, parse_group_file
+from .solver import TIMEOUT, IlpModel, exhaustive_oracle, solve_feasible, solve_max
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -68,13 +60,27 @@ def _meta(field=None, inputs=()):
     return meta
 
 
-def _emit(report, out):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+def _write(text, out):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _json(report):
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _emit(report, out):
+    _write(_json(report), out)
+
+
+def _emit_artifact(text, summary, out):
+    """The artifact to --out and the summary to stdout, or the artifact to
+    stdout and the summary to stderr."""
+    _write(text, out)
+    (sys.stdout if out else sys.stderr).write(_json(summary))
 
 
 def _field_from_args(args):
@@ -87,21 +93,10 @@ def _field_from_args(args):
 
 def cmd_verify(args):
     pa = parse_arc_file(open(args.arcfile).read())
-    group = pa.group
-    convention = pa.convention
+    group, convention = pa.group, pa.convention
     if args.group:
         gens = parse_group_file(open(args.group).read(), pa.spec)
-        group = closure(pa.spec, gens)
-        from .arcs import admits_group
-
-        if admits_group(pa.arc, group):
-            convention = "column"
-        else:
-            flipped = closure(pa.spec, [transpose_element(pa.spec, g) for g in gens])
-            if admits_group(pa.arc, flipped):
-                group, convention = flipped, "row"
-            else:
-                convention = None
+        group, convention, _ = admitted_group(pa.arc, gens)
     report = verify_arc(pa.arc, group).to_dict()
     report["convention"] = convention
     report["r_claimed"] = pa.arc.r_claimed
@@ -118,8 +113,7 @@ def cmd_condense(args):
     plane = build_plane(spec)
     grp = closure(spec, gens)
     od = orbits(plane, grp)
-    cs = condense(plane, od, args.r, provenance=f"group order {grp.order}")
-    text = format_system(cs)
+    cs = condense(plane, od, args.r)
     hist = {}
     for w in od.weights:
         hist[w] = hist.get(w, 0) + 1
@@ -129,13 +123,7 @@ def cmd_condense(args):
         "orbit_length_histogram": {str(k): v for k, v in sorted(hist.items())},
         "meta": _meta(spec, [args.group] if args.group else []),
     }
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        _emit(summary, None)
-    else:
-        sys.stdout.write(text)
-        sys.stderr.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _emit_artifact(format_system(cs), summary, args.out)
     return EXIT_OK
 
 
@@ -159,12 +147,7 @@ def cmd_solve(args):
     ]
     if not args.deterministic:
         lines.append(f"time={sol.wall_time:.3f}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return EXIT_INCONCLUSIVE if sol.status == TIMEOUT else EXIT_OK
 
 
@@ -204,13 +187,7 @@ def cmd_classify(args):
         "cyclic_subgroup_classes": subgroup_class_count(classes),
         "meta": _meta(field_for_order(args.q)),
     }
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(format_class_list(classes))
-        _emit(payload, None)
-    else:
-        sys.stdout.write(format_class_list(classes))
-        sys.stderr.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit_artifact(format_class_list(classes), payload, args.out)
     return EXIT_OK
 
 
@@ -248,14 +225,18 @@ def cmd_code(args):
     return EXIT_OK
 
 
+def _tsv_rows(path):
+    """The tab-separated fields of each line that is not blank or a comment."""
+    for line in path.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            yield line.split("\t")
+
+
 def cmd_tables(args):
     data = resources.files("pgarcs") / "data"
     rows = []
     all_ok = True
-    for line in (data / "bounds_improved.tsv").read_text().splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        q, r, old, new, arcfile = line.split("\t")
+    for q, r, old, new, arcfile in _tsv_rows(data / "bounds_improved.tsv"):
         pa = load_corpus_arc(arcfile)
         rep = verify_arc(pa.arc, pa.group)
         ok = (
@@ -275,14 +256,10 @@ def cmd_tables(args):
                 "verified": ok,
             }
         )
-    open_cases = []
-    for line in (data / "open_cases.tsv").read_text().splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        q, r, cands = line.split("\t")
-        open_cases.append(
-            {"q": int(q), "r": int(r), "candidates": [int(v) for v in cands.split(",")]}
-        )
+    open_cases = [
+        {"q": int(q), "r": int(r), "candidates": [int(v) for v in cands.split(",")]}
+        for q, r, cands in _tsv_rows(data / "open_cases.tsv")
+    ]
     payload = {
         "improved_bounds": rows,
         "open_cases": open_cases,

@@ -42,14 +42,13 @@ class CondensedSystem:
     w: tuple
     r: int
     q: int
-    provenance: str = ""
     normalizer: object = field(default=None, compare=False, repr=False)
 
     def row_sums(self):
         return tuple(sum(row) for row in self.A)
 
 
-def condense(plane: Plane, orb: OrbitData, r: int, provenance: str = "") -> CondensedSystem:
+def condense(plane: Plane, orb: OrbitData, r: int) -> CondensedSystem:
     """Build the condensed system for the orbit partition and bound r."""
     q = plane.spec.q
     if not 1 <= r <= q + 1:
@@ -68,7 +67,6 @@ def condense(plane: Plane, orb: OrbitData, r: int, provenance: str = "") -> Cond
         w=orb.weights,
         r=r,
         q=q,
-        provenance=provenance,
         normalizer=partial(normalizer_permutations, plane, orb, A, orb.weights),
     )
     assert all(s == q + 1 for s in system.row_sums())
@@ -77,12 +75,13 @@ def condense(plane: Plane, orb: OrbitData, r: int, provenance: str = "") -> Cond
 
 def dual_condensation(plane: Plane, orb: OrbitData):
     """Counts of lines of line-orbit i through the representative point of
-    point-orbit j; used for the double-counting consistency check."""
+    point-orbit j; used for the double-counting consistency check.  The
+    plane is self-dual, so `incidence` lists the lines through a point."""
     ell = orb.ell
     Abar = []
     for rep in orb.point_rep:
         row = [0] * ell
-        for i in plane.lines_through[rep]:
+        for i in plane.incidence[rep]:
             row[orb.line_orbit_of[i]] += 1
         Abar.append(tuple(row))
     return tuple(Abar)

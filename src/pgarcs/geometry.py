@@ -36,7 +36,8 @@ def gaussian_number(n: int, k: int, q: int) -> int:
 
 
 def normalize_triple(spec: Field, t):
-    """Scale so the leftmost nonzero coordinate is 1; rejects (0,0,0)."""
+    """Scale so the leftmost nonzero coordinate is 1; rejects (0,0,0).
+    Any length works: group elements normalize their nine entries here."""
     for c in t:
         if c:
             if c == 1:
@@ -56,26 +57,27 @@ def dot(spec: Field, u, v) -> int:
 class Plane:
     """PG(2,q) with indexed points/lines and incidence lists.
 
+    The plane is self-dual and stored once: line i is the dual triple of
+    point i, so `lines` is the very tuple `points` and `inc` is symmetric.
+    Hence `point_index` also indexes lines, and `incidence` also lists the
+    lines through each point.
+
     Immutable after build_plane; attributes:
       spec          the underlying Field
       points        tuple of normalized coordinate triples, lex order
-      lines         tuple of normalized dual triples, lex order
-      point_index   triple -> index
-      line_index    triple -> index
-      incidence     per line, sorted tuple of incident point indices
-      lines_through per point, sorted tuple of incident line indices
-      inc           numpy uint8 matrix, rows = lines, cols = points
+      lines         the same tuple, read as dual triples
+      point_index   triple -> index, of a point or a line
+      incidence     per line, sorted tuple of incident point indices;
+                    equally, per point, the lines through it
+      inc           symmetric numpy uint8 matrix, rows = lines, cols = points
     """
 
-    def __init__(self, spec, points, lines, inc):
+    def __init__(self, spec, points, inc):
         self.spec = spec
-        self.points = points
-        self.lines = lines
+        self.points = self.lines = points
         self.point_index = {t: i for i, t in enumerate(points)}
-        self.line_index = {t: i for i, t in enumerate(lines)}
         self.inc = inc
-        self.incidence = tuple(tuple(np.flatnonzero(inc[i]).tolist()) for i in range(len(lines)))
-        self.lines_through = tuple(tuple(np.flatnonzero(inc[:, j]).tolist()) for j in range(len(points)))
+        self.incidence = tuple(tuple(np.flatnonzero(row).tolist()) for row in inc)
 
     @property
     def n(self) -> int:
@@ -103,7 +105,7 @@ def build_plane(spec: Field) -> Plane:
     terms = [mul[pts[:, None, k], pts[None, :, k]] for k in range(3)]
     total = add[add[terms[0], terms[1]], terms[2]]
     inc = (total == 0).astype(np.uint8)
-    plane = Plane(spec, triples, triples, inc)
+    plane = Plane(spec, triples, inc)
     expected = gaussian_number(3, 1, q)
     assert plane.n == expected
     return plane

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import functools
 
+import numpy as np
+
 __all__ = [
     "Field",
     "field_for_order",
@@ -279,14 +281,10 @@ class Field:
 
     @functools.cached_property
     def add_np(self):
-        import numpy as np
-
         return np.array(self.add_t, dtype=np.int16)
 
     @functools.cached_property
     def mul_np(self):
-        import numpy as np
-
         return np.array(self.mul_t, dtype=np.int16)
 
     def spec_string(self) -> str:

@@ -36,6 +36,7 @@ __all__ = [
     "OrbitData",
     "apply_to_line",
     "apply_to_point",
+    "char_poly",
     "closure",
     "compose",
     "conjugate_element",
@@ -47,6 +48,7 @@ __all__ = [
     "normalizer_permutations",
     "orbits",
     "parse_group_file",
+    "scalar_powers",
     "transpose_element",
 ]
 
@@ -72,6 +74,19 @@ def det3(spec: Field, m) -> int:
     t2 = mul[b][add[mul[d][i]][neg[mul[f][g]]]]
     t3 = mul[c][add[mul[d][h]][neg[mul[e][g]]]]
     return add[add[t1][neg[t2]]][t3]
+
+
+def char_poly(spec: Field, m):
+    """Monic characteristic polynomial, coefficients low degree first."""
+    mul = spec.mul_t
+    add = spec.add_t
+    neg = spec.neg_t
+    (a, b, c), (d, e, f), (g, h, i) = m
+    tr = add[add[a][e]][i]
+    minors = add[
+        add[add[mul[e][i]][neg[mul[f][h]]]][add[mul[a][i]][neg[mul[c][g]]]]
+    ][add[mul[a][e]][neg[mul[b][d]]]]
+    return (neg[det3(spec, m)], minors, neg[tr], 1)
 
 
 def matmul3(spec: Field, x, y):
@@ -104,6 +119,21 @@ def matinv3(spec: Field, m):
     return tuple(tuple(row[v] for v in r) for r in cof)
 
 
+def _is_scalar(m):
+    return m[0][1] == m[0][2] == m[1][0] == m[1][2] == m[2][0] == m[2][1] == 0 and m[0][0] == m[1][1] == m[2][2]
+
+
+def scalar_powers(spec: Field, m):
+    """[m, m^2, ..., m^k] for the least k >= 1 with m^k scalar, so k is the
+    projective order of m."""
+    powers = [m]
+    while not _is_scalar(powers[-1]):
+        if len(powers) > spec.q**2 + spec.q:
+            raise AssertionError("projective order exceeded the group exponent bound")
+        powers.append(matmul3(spec, powers[-1], m))
+    return powers
+
+
 def mat_transpose(m):
     return tuple(tuple(m[j][i] for j in range(3)) for i in range(3))
 
@@ -115,14 +145,8 @@ def mat_frob(spec: Field, m, k: int):
 
 
 def _normalize_mat(spec: Field, m):
-    for row in m:
-        for v in row:
-            if v:
-                if v == 1:
-                    return tuple(tuple(r) for r in m)
-                scale = spec.mul_t[spec.inv_t[v]]
-                return tuple(tuple(scale[x] for x in r) for r in m)
-    raise ValueError("zero matrix")
+    flat = normalize_triple(spec, [v for row in m for v in row])
+    return flat[0:3], flat[3:6], flat[6:9]
 
 
 def make_element(spec: Field, mat, frob: int = 0) -> GroupElement:
@@ -237,7 +261,7 @@ def point_permutation(plane: Plane, g: GroupElement):
 
 
 def line_permutation(plane: Plane, g: GroupElement):
-    idx = plane.line_index
+    idx = plane.point_index  # lines and points share their triples
     return tuple(idx[apply_to_line(plane.spec, g, l)] for l in plane.lines)
 
 
@@ -363,15 +387,10 @@ def _normalizer_spaces(spec: Field, generators):
     Several generators: h.g_i = mu_i.g_i.h for all i, the intersection of
     their centralizers, a subgroup of N(G).  No generator: all of PGL(3,q).
     """
-    from .classify import char_poly  # classify imports this module
-
     mul = spec.mul_t
     mats = [g.mat for g in generators]
     if len(mats) == 1:
-        g = mats[0]
-        powers = [g]  # g, g^2, ... up to the first scalar power
-        while any(powers[-1][i][j] != (powers[-1][0][0] if i == j else 0) for i in range(3) for j in range(3)):
-            powers.append(matmul3(spec, powers[-1], g))
+        powers = scalar_powers(spec, mats[0])
         targets = [[m for k, m in enumerate(powers, 1) if math.gcd(k, len(powers)) == 1]]
     else:
         targets = [[g] for g in mats]

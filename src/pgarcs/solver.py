@@ -11,8 +11,10 @@ branches on its heaviest free variable.  Incumbents come from a
 descending-weight greedy warm start improved by 1-flip/1-swap local
 search, followed by a seeded ruin-and-recreate phase whose restart and
 iteration counts depend only on the budget value.  Its moves are frozen
-(a test pins the incumbents it offers), and it keeps all row loads in one
-packed integer, so trying a variable is one addition.  solve_max with
+(a test pins the incumbents it offers).  The greedy start, the search and
+the ruin-and-recreate phase share one representation of the row loads, a
+packed integer (`IlpModel.packed`), so trying a variable is one addition
+and one mask.  solve_max with
 deterministic=True runs it to the end and replays bit-identically;
 solve_feasible and other runs stop it at the deadline.  A chunked
 exhaustive oracle covers tiny instances.  Budget exhaustion is reported
@@ -38,6 +40,7 @@ and no witness.  The list is built when a search first branches.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -88,11 +91,6 @@ class IlpModel:
             raise ValueError("constraint matrix is not ell x ell")
         if any(v < 0 for row in self.A for v in row) or any(v < 0 for v in self.w):
             raise ValueError("model data must be nonnegative")
-        # column supports: per variable, the rows it loads and by how much
-        self.col_support = tuple(
-            tuple((i, self.A[i][j]) for i in range(self.m) if self.A[i][j])
-            for j in range(self.n)
-        )
         self._normalizer = system.normalizer
         self._symmetry = None
 
@@ -106,6 +104,27 @@ class IlpModel:
             self._symmetry = None if found is None else found[1]
             self._normalizer = None
         return self._symmetry
+
+    @functools.cached_property
+    def packed(self):
+        """(empty, guard, col): the row loads as one integer, b bits per
+        row, each row offset so that its top bit is set exactly when the
+        load exceeds the rhs.  `empty` is the load of no selection, `guard`
+        holds the top bits and col[j] is column j, so x_j fits when
+        (loads + col[j]) & guard is 0, and inserting or dropping it is one
+        addition.  Built on first use, so setting up a model does not pay.
+
+        No field ever carries into the next one: b - 1 bits hold any rhs,
+        and a b-bit field holds a full row plus one coefficient.  A search
+        node fixes at most one variable to 1 and is pruned at once if that
+        overflows; the greedy pass and the LNS insert only variables that fit.
+        """
+        b = max(max(self.rhs), max(map(max, self.A))).bit_length() + 1
+        half = 1 << (b - 1)
+        guard = sum(half << (b * i) for i in range(self.m))
+        empty = sum((half - 1 - rhs) << (b * i) for i, rhs in enumerate(self.rhs))
+        col = [sum(row[j] << (b * i) for i, row in enumerate(self.A)) for j in range(self.n)]
+        return empty, guard, col
 
     def check_feasible(self, x) -> bool:
         return all(
@@ -210,49 +229,26 @@ def greedy_warm_start(model: IlpModel) -> Solution:
     """Feasible start: descending-weight insertion, then 1-flip / 1-swap
     local search to a local optimum."""
     t0 = time.monotonic()
-    n, m = model.n, model.m
+    n, w = model.n, model.w
+    empty, guard, col = model.packed
     x = [0] * n
-    loads = [0] * m
-
-    def fits(j, skip=None):
-        for i, a in model.col_support[j]:
-            load = loads[i] + a
-            if skip is not None:
-                load -= model.A[i][skip]
-            if load > model.rhs[i]:
-                return False
-        return True
-
-    def insert(j):
-        x[j] = 1
-        for i, a in model.col_support[j]:
-            loads[i] += a
-
-    def remove(j):
-        x[j] = 0
-        for i, a in model.col_support[j]:
-            loads[i] -= a
-
-    for j in sorted(range(n), key=lambda j: (-model.w[j], j)):
-        if fits(j):
-            insert(j)
+    loads, obj = _greedy_fill(sorted(range(n), key=lambda j: (-w[j], j)), x, empty, 0, w, col, guard)
 
     improved = True
     while improved:
-        improved = False
-        for j in range(n):
-            if not x[j] and fits(j):
-                insert(j)
-                improved = True
+        selected = sum(x)
+        loads, obj = _greedy_fill(range(n), x, loads, obj, w, col, guard)
+        improved = sum(x) > selected
         for jout in range(n):
             if not x[jout]:
                 continue
             for jin in range(n):
-                if x[jin] or model.w[jin] <= model.w[jout]:
+                if x[jin] or w[jin] <= w[jout]:
                     continue
-                if fits(jin, skip=jout):
-                    remove(jout)
-                    insert(jin)
+                if not (loads - col[jout] + col[jin]) & guard:
+                    x[jout], x[jin] = 0, 1
+                    loads += col[jin] - col[jout]
+                    obj += w[jin] - w[jout]
                     improved = True
                     break
             if improved:
@@ -262,7 +258,7 @@ def greedy_warm_start(model: IlpModel) -> Solution:
     assert model.check_feasible(xt)
     return Solution(
         x=xt,
-        objective=model.objective(xt),
+        objective=obj,
         status=FEASIBLE_FOUND,
         wall_time=time.monotonic() - t0,
     )
@@ -330,11 +326,10 @@ class _Search:
         self.deadline = deadline
         self.target = target
         self.value = [None] * model.n
-        self.loads = [0] * model.m
+        self.loads, self.guard, self.col = model.packed
         self.fixed_w = 0
         self.sum_free_w = sum(model.w)
         self.free = model.n
-        self.violations = 0
         self.nodes = 0
         self.timed_out = False
         self.target_hit = False
@@ -350,10 +345,7 @@ class _Search:
         self.sum_free_w -= self.model.w[j]
         if v:
             self.fixed_w += self.model.w[j]
-            for i, a in self.model.col_support[j]:
-                if self.loads[i] <= self.model.rhs[i] < self.loads[i] + a:
-                    self.violations += 1
-                self.loads[i] += a
+            self.loads += self.col[j]
 
     def _unset(self, j):
         v = self.value[j]
@@ -363,10 +355,7 @@ class _Search:
         self.sum_free_w += self.model.w[j]
         if v:
             self.fixed_w -= self.model.w[j]
-            for i, a in self.model.col_support[j]:
-                self.loads[i] -= a
-                if self.loads[i] <= self.model.rhs[i] < self.loads[i] + a:
-                    self.violations -= 1
+            self.loads -= self.col[j]
 
     def _offer(self, x, obj):
         if self.incumbent.offer(x, obj):
@@ -403,7 +392,7 @@ class _Search:
         if time.monotonic() > self.deadline:
             self.timed_out = True
             return
-        if self.violations:
+        if self.loads & self.guard:
             return
         if self.fixed_w > self.incumbent.objective:
             x = tuple(v if v else 0 for v in self.value)
@@ -482,7 +471,7 @@ def _shuffled(items, draws, getrandbits):
 
 def _greedy_fill(order, x, loads, obj, w, col, guard):
     """Insert every variable of `order` that still fits; return the new
-    packed loads and objective (see `_lns_phase`)."""
+    packed loads and objective (see `IlpModel.packed`)."""
     for j in order:
         if not x[j] and not (loads + col[j]) & guard:
             x[j] = 1
@@ -498,13 +487,8 @@ def _lns_phase(model, incumbent, budget, deadline, deterministic, target=None):
     selected variables and refills in a fresh shuffled order, keeping
     non-worsening moves.  Restart and iteration counts are derived from
     the budget value alone; only non-deterministic runs also watch the
-    wall clock.
-
-    The row loads live in one integer, b bits per row, each row offset so
-    that its top bit is set exactly when the load exceeds the rhs.  A
-    variable fits when adding its packed column sets no top bit, inserting
-    or dropping it is one addition, and a rejected move restores the best
-    loads by reference.
+    wall clock.  The row loads are packed (`IlpModel.packed`), so a
+    rejected move restores the best loads by reference.
     """
     n, w = model.n, model.w
     total = sum(w)
@@ -514,12 +498,7 @@ def _lns_phase(model, incumbent, budget, deadline, deterministic, target=None):
     iters = max(2000, min(50_000, int(budget * 150)))
     base_order = sorted(range(n), key=lambda j: (-w[j], j))
     draws = [(i, i + 1, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
-    # b - 1 bits hold any rhs, and a full row plus any coefficient fits in b
-    b = max(max(model.rhs), max(map(max, model.A))).bit_length() + 1
-    half = 1 << (b - 1)
-    guard = sum(half << (b * i) for i in range(model.m))
-    empty = sum((half - 1 - rhs) << (b * i) for i, rhs in enumerate(model.rhs))
-    col = [sum(a << (b * i) for i, a in support) for support in model.col_support]
+    empty, guard, col = model.packed
     for seed in range(restarts):
         rng = random.Random(seed)
         bits = rng.getrandbits

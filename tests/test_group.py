@@ -82,7 +82,7 @@ def test_line_image_matches_pointwise_image():
             image_pts = {
                 apply_to_point(f, g, plane.points[j]) for j in plane.incidence[li]
             }
-            expected = {plane.points[j] for j in plane.incidence[plane.line_index[moved]]}
+            expected = {plane.points[j] for j in plane.incidence[plane.point_index[moved]]}
             assert image_pts == expected
 
 
@@ -93,7 +93,7 @@ def test_incidence_preserved_exhaustively(q):
     g = random_invertible(f, random.Random(q))
     pperm = point_permutation(plane, g)
     lmap = {
-        i: plane.line_index[apply_to_line(f, g, l)] for i, l in enumerate(plane.lines)
+        i: plane.point_index[apply_to_line(f, g, l)] for i, l in enumerate(plane.lines)
     }
     for i, line in enumerate(plane.lines):
         for j, pt in enumerate(plane.points):

@@ -38,6 +38,9 @@ C3_Q7 = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
 # sha256 of the LNS offer sequence in test_lns_trajectory_is_frozen, taken
 # before the incremental kernel replaced the re-summing one
 LNS_TRAJECTORY_SHA256 = "a181790d48d47f6c53935afdc779e7e9d0e788a678ba9ac814ece176107059fa"
+# sha256 of the warm starts in test_greedy_warm_start_is_frozen, taken
+# before the warm start moved onto the packed row loads
+GREEDY_WARM_START_SHA256 = "43dfd6d568cb59070dc140730c02ab0abb5c5b16aa617c2a3a30140302bcac95"
 
 
 def full_plane_model(plane_for, q, r):
@@ -318,6 +321,22 @@ def test_greedy_warm_start_always_feasible(plane_for):
         sol = greedy_warm_start(model)
         assert model.check_feasible(sol.x)
         assert sol.objective == model.objective(sol.x)
+
+
+def test_greedy_warm_start_is_frozen(plane_for):
+    # the warm start reaches the incumbent through its constructor, not
+    # through an offer, so the LNS digest below does not cover it
+    rng = random.Random(17)
+    models = [full_plane_model(plane_for, q, r) for q in (2, 3, 4) for r in range(1, q + 2)]
+    models += [cyclic_model(plane_for, 7, m, r) for m in (C0_Q7, C3_Q7) for r in (2, 3, 4)]
+    for q in (3, 4, 5, 7, 8, 9):
+        plane = plane_for(q)
+        od = orbits(plane, random_cyclic_group(plane.spec, rng))
+        models += [IlpModel(condense(plane, od, r)) for r in (2, 3, q)]
+    starts = [greedy_warm_start(model) for model in models]
+    assert all(model.check_feasible(s.x) for model, s in zip(models, starts))
+    digest = hashlib.sha256(repr([(s.x, s.objective) for s in starts]).encode()).hexdigest()
+    assert digest == GREEDY_WARM_START_SHA256
 
 
 def test_determinism(plane_for):
