@@ -38,7 +38,7 @@ from .group import (
     orbits,
     scalar_powers,
 )
-from .solver import PROVED_INFEASIBLE, IlpModel, solve_feasible
+from .solver import FEASIBLE_FOUND, PROVED_INFEASIBLE, IlpModel, solve_feasible
 
 __all__ = [
     "ConjClassRep",
@@ -269,6 +269,7 @@ class ExclusionReport:
     r: int
     n: int
     excluded: tuple
+    realized: tuple  # classes whose system reached n: a witness, not a timeout
     undecided: tuple
     verdict: str
     classes: tuple = field(default_factory=tuple)
@@ -324,15 +325,15 @@ def run_exclusion(
     """Solve the target-n feasibility question for every nontrivial cyclic
     class and derive the rigidity verdict.
 
-    A class whose system provably cannot reach n points is excluded; a
-    timeout (or an explicit skip) leaves it undecided.  All classes
-    excluded gives RigidOrNonexistent; a nonempty undecided remainder
-    downgrades to RigidOrListedGroups; no exclusions at all is
-    Inconclusive.  Timeouts are recorded, never raised.  With a
-    checkpoint path, per-class results are flushed after every class and
-    reused on resume.  Classes are solved one at a time, so `threads`
-    must be 1; the keyword is kept because callers, the benchmark among
-    them, pass threads=1.
+    A class whose system provably cannot reach n points is excluded, one
+    whose system reaches n is realized, and a timeout (or an explicit
+    skip) leaves it undecided.  All classes excluded gives
+    RigidOrNonexistent; any realized or undecided class downgrades to
+    RigidOrListedGroups; no exclusions at all is Inconclusive.  Timeouts
+    are recorded, never raised.  With a checkpoint path, per-class
+    results are flushed after every class and reused on resume.  Classes
+    are solved one at a time, so `threads` must be 1; the keyword is kept
+    because callers, the benchmark among them, pass threads=1.
     """
     if threads != 1:
         raise ValueError(f"threads={threads}: the sweep solves one class at a time")
@@ -368,8 +369,9 @@ def run_exclusion(
 
     ordered = [records[rep.class_id] for rep in classes if not rep.is_trivial]
     excluded = tuple(rec["id"] for rec in ordered if rec["status"] == PROVED_INFEASIBLE)
-    undecided = tuple(rec["id"] for rec in ordered if rec["status"] != PROVED_INFEASIBLE)
-    if not undecided and excluded:
+    realized = tuple(rec["id"] for rec in ordered if rec["status"] == FEASIBLE_FOUND)
+    undecided = tuple(rec["id"] for rec in ordered if rec["status"] not in (PROVED_INFEASIBLE, FEASIBLE_FOUND))
+    if excluded and not (realized or undecided):
         verdict = VERDICT_RIGID
     elif excluded:
         verdict = VERDICT_LISTED
@@ -380,6 +382,7 @@ def run_exclusion(
         r=r,
         n=n,
         excluded=excluded,
+        realized=realized,
         undecided=undecided,
         verdict=verdict,
         classes=tuple(ordered),

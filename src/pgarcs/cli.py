@@ -6,7 +6,9 @@ tool version, the field spec, and sha256 digests of the input files, so
 long runs stay attributable; exclude streams one line per solved class
 to stderr.  Exit codes: 0 success / verdict reached, 2 timeout or
 inconclusive, 1 error.  With --deterministic all timing fields are
-omitted, making reports byte-identical across runs.
+omitted, making reports byte-identical across runs of a search that ends
+within its budget; a search cut by its budget reports a nodes= count
+bounded by the wall clock.
 """
 
 from __future__ import annotations

@@ -8,20 +8,29 @@ bound of Neumaier and Shcherbina (Math. Prog. 99, 2004), computed in
 int64 from the scaled, floored row duals, and infeasible fixings are
 caught by integer row loads.  When HiGHS reports no optimum the node
 branches on its heaviest free variable.  Incumbents come from a
-descending-weight greedy warm start improved by 1-flip/1-swap local
-search, followed by a seeded ruin-and-recreate phase whose restart and
-iteration counts depend only on the budget value.  Its moves are frozen
-(a test pins the incumbents it offers).  The greedy start, the search and
-the ruin-and-recreate phase share one representation of the row loads, a
-packed integer (`IlpModel.packed`), so trying a variable is one addition
-and one mask.  solve_max with
-deterministic=True runs it to the end and replays bit-identically;
-solve_feasible and other runs stop it at the deadline.  A chunked
-exhaustive oracle covers tiny instances.  Budget exhaustion is reported
-as a Timeout status, never an error; the root LP gets the remaining
-budget as its time limit, and a limited root counts as no optimum.
-solve_max and solve_feasible share one body and run one single-threaded
-search from the root.
+descending-weight greedy warm start and a seeded ruin-and-recreate phase
+(LNS) whose restart and iteration counts depend only on the budget
+value.  Its moves are frozen (a test pins the incumbents it offers).
+The greedy start, the search and the LNS share one representation of the
+row loads, a packed integer (`IlpModel.packed`), so trying a variable is
+one addition and one mask.
+
+The LNS runs in step with the search: before each node it makes ell
+moves (ell = model.n).  A node re-solves an LP over ell columns and a
+move refills up to ell variables, so neither side starves the other.
+The solve ends when the search ends: exhausted, timed out, or with an
+incumbent at the target, whichever side found it; the moves left over
+are dropped, and a search that outlasts the schedule goes on alone.  A
+target search prunes on target - 1, so its nodes do not depend on the
+LNS, and an LNS witness stops it at its next node; a max search prunes
+on the shared incumbent, which holds only feasible points.  With
+deterministic=True the LNS never reads the clock, so a solve_max that
+ends within its budget replays bit-identically; solve_feasible and other
+runs also stop the LNS at the deadline.  A chunked exhaustive oracle covers tiny instances.  Budget
+exhaustion is reported as a Timeout status, never an error; the root LP
+gets the remaining budget as its time limit, and a limited root counts
+as no optimum.  solve_max and solve_feasible share one body and run one
+single-threaded search from the root.
 
 A system condensed from a group G carries the symmetry of the normalizer
 N(G) in PGL(3,q), which maps G-invariant arcs to G-invariant arcs and so
@@ -44,7 +53,7 @@ import functools
 import random
 import time
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 
 import numpy as np
 
@@ -226,34 +235,13 @@ def lp_bound(model: IlpModel, fixed=None):
 
 
 def greedy_warm_start(model: IlpModel) -> Solution:
-    """Feasible start: descending-weight insertion, then 1-flip / 1-swap
-    local search to a local optimum."""
+    """Feasible start: insert every variable that still fits, in
+    descending weight."""
     t0 = time.monotonic()
     n, w = model.n, model.w
     empty, guard, col = model.packed
     x = [0] * n
-    loads, obj = _greedy_fill(sorted(range(n), key=lambda j: (-w[j], j)), x, empty, 0, w, col, guard)
-
-    improved = True
-    while improved:
-        selected = sum(x)
-        loads, obj = _greedy_fill(range(n), x, loads, obj, w, col, guard)
-        improved = sum(x) > selected
-        for jout in range(n):
-            if not x[jout]:
-                continue
-            for jin in range(n):
-                if x[jin] or w[jin] <= w[jout]:
-                    continue
-                if not (loads - col[jout] + col[jin]) & guard:
-                    x[jout], x[jin] = 0, 1
-                    loads += col[jin] - col[jout]
-                    obj += w[jin] - w[jout]
-                    improved = True
-                    break
-            if improved:
-                break
-
+    _, obj = _greedy_fill(sorted(range(n), key=lambda j: (-w[j], j)), x, empty, 0, w, col, guard)
     xt = tuple(x)
     assert model.check_feasible(xt)
     return Solution(
@@ -387,7 +375,11 @@ class _Search:
 
     # -- node processing ------------------------------------------------
 
-    def _eval(self, stack):
+    def _eval(self, stack, lns):
+        next(islice(lns, self.model.n, self.model.n), None)  # ell LNS moves
+        if self.target is not None and self.incumbent.objective >= self.target:
+            self.target_hit = True  # the LNS reached the target
+            return
         self.nodes += 1
         if time.monotonic() > self.deadline:
             self.timed_out = True
@@ -442,9 +434,12 @@ class _Search:
             [("unset", orbit), ("set", orbit, 0, self.group), ("unset", (j_star,)), ("set", (j_star,), 1, stab)]
         )
 
-    def run(self):
+    def run(self, lns=()):
+        """Search until the tree is exhausted, the deadline passes or the
+        target is reached, advancing the iterator `lns` by ell steps
+        before each node."""
         stack = []
-        self._eval(stack)
+        self._eval(stack, lns)
         while stack and not self.timed_out and not self.target_hit:
             op = stack.pop()
             if op[0] == "unset":
@@ -454,7 +449,7 @@ class _Search:
                 _, js, v, self.group = op
                 for j in js:
                     self._set(j, v)
-                self._eval(stack)
+                self._eval(stack, lns)
 
 
 def _shuffled(items, draws, getrandbits):
@@ -481,7 +476,8 @@ def _greedy_fill(order, x, loads, obj, w, col, guard):
 
 
 def _lns_phase(model, incumbent, budget, deadline, deterministic, target=None):
-    """Seeded ruin-and-recreate incumbent improvement.
+    """Seeded ruin-and-recreate incumbent improvement, a generator that
+    yields before each move, so that a search can run it in step.
 
     Each restart grows a shuffled greedy fill, then repeatedly drops a few
     selected variables and refills in a fresh shuffled order, keeping
@@ -492,8 +488,6 @@ def _lns_phase(model, incumbent, budget, deadline, deterministic, target=None):
     """
     n, w = model.n, model.w
     total = sum(w)
-    if incumbent.objective >= total:
-        return
     restarts = max(2, min(12, int(budget / 10) + 1))
     iters = max(2000, min(50_000, int(budget * 150)))
     base_order = sorted(range(n), key=lambda j: (-w[j], j))
@@ -509,6 +503,7 @@ def _lns_phase(model, incumbent, budget, deadline, deterministic, target=None):
         if target is not None and incumbent.objective >= target:
             return
         for it in range(iters):
+            yield
             if not deterministic and time.monotonic() > deadline:
                 return
             sel = list(compress(range(n), x))
@@ -532,17 +527,6 @@ def _lns_phase(model, incumbent, budget, deadline, deterministic, target=None):
                     return
 
 
-def _initial_incumbent(model, budget, deadline, deterministic, root_bound, target=None):
-    warm = greedy_warm_start(model)
-    incumbent = _Incumbent(warm.x, warm.objective)
-    if target is not None and incumbent.objective >= target:
-        return incumbent
-    if incumbent.objective >= root_bound:
-        return incumbent
-    _lns_phase(model, incumbent, budget, deadline, deterministic, target=target)
-    return incumbent
-
-
 def _solve(model, budget, deterministic, target=None):
     """The body of solve_max (target None) and solve_feasible."""
     t0 = time.monotonic()
@@ -558,13 +542,14 @@ def _solve(model, budget, deterministic, target=None):
     root_bound, _ = lp.solve(time_limit=deadline - time.monotonic())
     if target is not None and root_bound < target:
         return done((0,) * model.n, 0, PROVED_INFEASIBLE, 1)
-    incumbent = _initial_incumbent(model, budget, deadline, deterministic, root_bound, target=target)
+    warm = greedy_warm_start(model)
+    incumbent = _Incumbent(warm.x, warm.objective)
     if target is not None and incumbent.objective >= target:
         return done(incumbent.x, incumbent.objective, FEASIBLE_FOUND, 0)
     if incumbent.objective >= root_bound:  # with a target, root_bound >= target > incumbent
         return done(incumbent.x, incumbent.objective, OPTIMAL, 1)
     search = _Search(model, lp, incumbent, deadline, target=target)
-    search.run()
+    search.run(_lns_phase(model, incumbent, budget, deadline, deterministic, target=target))
     if search.target_hit:
         status = FEASIBLE_FOUND
     elif search.timed_out:

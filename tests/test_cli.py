@@ -79,3 +79,23 @@ def test_exclude_resume_reads_records_written_without_symmetry(tmp_path, capsys)
     first = json.loads(out)["classes"][0]
     assert (first["id"], first["nodes"], first["symmetry"]) == (1, 7, 1)
     assert len(err.splitlines()) == 10  # class 1 is not solved again
+
+
+EXCLUDE_Q5_N6 = ["exclude", "--q", "5", "--r", "2", "--n", "6", "--budget-per-class", "2", "--deterministic"]
+
+
+def test_exclude_lists_found_witnesses_as_realized(capsys):
+    # m_2(2,5) = 6: five classes admit a 6-arc, every other class is excluded
+    rc, out, _ = run(capsys, EXCLUDE_Q5_N6)
+    report = json.loads(out)
+    status = {c["id"]: c["status"] for c in report["classes"]}
+    assert report["realized"] == [i for i, s in status.items() if s == "FeasibleFound"] == [1, 2, 5, 7, 8]
+    assert all(c["objective"] == 6 for c in report["classes"] if c["status"] == "FeasibleFound")
+    assert report["excluded"] == [i for i, s in status.items() if s == "ProvedInfeasible"]
+    assert report["undecided"] == []
+    assert (rc, report["verdict"]) == (cli.EXIT_OK, "RigidOrListedGroups")
+    # a skipped class stays undecided
+    rc, out, _ = run(capsys, EXCLUDE_Q5_N6 + ["--skip", "3"])
+    report = json.loads(out)
+    assert (report["realized"], report["undecided"]) == ([1, 2, 5, 7, 8], [3])
+    assert 3 not in report["excluded"]

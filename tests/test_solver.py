@@ -22,8 +22,8 @@ from pgarcs.solver import (
     IlpModel,
     _Incumbent,
     _Lp,
+    _lns_phase,
     _Search,
-    _initial_incumbent,
     exhaustive_oracle,
     greedy_warm_start,
     lp_bound,
@@ -35,6 +35,7 @@ C0_Q13 = ((0, 1, 0), (1, 0, 0), (0, 0, 12))
 C0_Q3 = ((0, 1, 0), (1, 0, 0), (0, 0, 2))
 C0_Q7 = ((0, 1, 0), (1, 0, 0), (0, 0, 6))
 C3_Q7 = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+C4_Q7 = ((1, 2, 1), (6, 6, 3), (0, 0, 6))
 # sha256 of the LNS offer sequence in test_lns_trajectory_is_frozen, taken
 # before the incremental kernel replaced the re-summing one
 LNS_TRAJECTORY_SHA256 = "a181790d48d47f6c53935afdc779e7e9d0e788a678ba9ac814ece176107059fa"
@@ -382,10 +383,9 @@ def test_search_branches_to_the_optimum_without_lp_optima(plane_for):
     assert model.check_feasible(search.incumbent.x)
 
 
-def test_lns_trajectory_is_frozen(plane_for, monkeypatch):
-    # the ruin-and-recreate phase must replay move for move: the same
-    # (x, objective) offers in the same order.  Budget 10 runs 2 restarts
-    # of 2,000 moves, budget 20 runs 3 restarts of 3,000.
+def lns_trajectory(model, budget, target=None):
+    """The (x, objective) offers of the whole LNS schedule, run alone from
+    the greedy start."""
     offers = []
 
     class Recording(_Incumbent):
@@ -393,20 +393,91 @@ def test_lns_trajectory_is_frozen(plane_for, monkeypatch):
             offers.append((tuple(x), objective))
             return super().offer(x, objective)
 
-    monkeypatch.setattr(solver, "_Incumbent", Recording)
+    warm = greedy_warm_start(model)
+    for _ in _lns_phase(model, Recording(warm.x, warm.objective), budget, float("inf"), True, target=target):
+        pass
+    return offers
+
+
+def test_lns_trajectory_is_frozen(plane_for):
+    # the ruin-and-recreate phase must replay move for move: the same
+    # (x, objective) offers in the same order.  Budget 10 runs 2 restarts
+    # of 2,000 moves, budget 20 runs 3 restarts of 3,000.
+    offers = []
     models = (
         full_plane_model(plane_for, 4, 3),
         cyclic_model(plane_for, 7, C0_Q7, 4),
         cyclic_model(plane_for, 7, C3_Q7, 4),
     )
     for model in models:
-        root_bound = lp_bound(model)
         start = len(offers)
         for budget in (10, 20):
-            _initial_incumbent(model, budget, float("inf"), True, root_bound)
+            offers += lns_trajectory(model, budget)
         assert all(model.check_feasible(x) and model.objective(x) == obj for x, obj in offers[start:])
     assert len(offers) == 41
     assert hashlib.sha256(repr(offers).encode()).hexdigest() == LNS_TRAJECTORY_SHA256
+
+
+def tap_lns(monkeypatch):
+    """Record the offers of the LNS that a solve runs and count the steps
+    the search takes from it; a step is at most one move."""
+    offers, steps = [], []
+    lns_phase = solver._lns_phase
+
+    class Tap:
+        def __init__(self, incumbent):
+            self.incumbent = incumbent
+
+        @property
+        def objective(self):
+            return self.incumbent.objective
+
+        def offer(self, x, objective):
+            offers.append((tuple(x), objective))
+            return self.incumbent.offer(x, objective)
+
+    def tapped(model, incumbent, *args, **kwargs):
+        for step in lns_phase(model, Tap(incumbent), *args, **kwargs):
+            steps.append(step)
+            yield step
+
+    monkeypatch.setattr(solver, "_lns_phase", tapped)
+    return offers, steps
+
+
+def test_lns_offers_inside_a_proof_are_a_prefix_of_its_trajectory(plane_for, monkeypatch):
+    model = cyclic_model(plane_for, 7, C0_Q7, 3)
+    offers, _ = tap_lns(monkeypatch)
+    assert solve_feasible(model, target=16, budget=10).status == PROVED_INFEASIBLE
+    standalone = lns_trajectory(model, 10, target=16)
+    assert 0 < len(offers) <= len(standalone)
+    assert offers == standalone[: len(offers)]
+
+
+def test_the_lns_moves_at_most_ell_times_per_node(plane_for, monkeypatch):
+    # the budget-60 schedule has 63,000 moves; the proof takes 107 nodes
+    model = cyclic_model(plane_for, 7, C0_Q7, 3)
+    _, steps = tap_lns(monkeypatch)
+    sol = solve_feasible(model, target=16)
+    assert (sol.status, sol.nodes_explored) == (PROVED_INFEASIBLE, 107)
+    assert 0 < len(steps) <= model.n * (sol.nodes_explored + 1)
+
+
+def test_an_lns_witness_stops_the_search(plane_for, monkeypatch):
+    # greedy 26, optimum 29: the LNS reaches 29 after 4 nodes, where the
+    # search alone needs 34
+    model = cyclic_model(plane_for, 7, C4_Q7, 5)
+    assert model.n == 17 and exhaustive_oracle(model).objective == 29
+    offers, steps = tap_lns(monkeypatch)
+    sol = solve_feasible(model, target=29)
+    assert (sol.status, sol.objective, sol.nodes_explored) == (FEASIBLE_FOUND, 29, 4)
+    assert model.check_feasible(sol.x) and model.objective(sol.x) == 29
+    assert offers[-1] == (sol.x, 29)
+    assert len(steps) <= model.n * (sol.nodes_explored + 1)
+    warm = greedy_warm_start(model)
+    alone = _Search(model, _Lp(model), _Incumbent(warm.x, warm.objective), float("inf"), target=29)
+    alone.run()
+    assert alone.target_hit and alone.nodes == 34
 
 
 def test_orbital_branching_shrinks_the_q7_involution_proof(plane_for):
