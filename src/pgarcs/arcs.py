@@ -24,7 +24,6 @@ from .group import (
     Group,
     GroupElement,
     _null_space,
-    apply_to_point,
     closure,
     format_group_file,
     parse_group_file,
@@ -133,9 +132,8 @@ def admitted_group(arc: Arc, generators):
 
 def map_arc(alpha: GroupElement, arc: Arc) -> Arc:
     """Image arc under an invertible collineation; same cardinality."""
-    spec = arc.plane.spec
-    idx = arc.plane.point_index
-    pts = sorted(idx[apply_to_point(spec, alpha, arc.plane.points[i])] for i in arc.points)
+    perm = point_permutation(arc.plane, alpha)
+    pts = sorted(perm[i] for i in arc.points)
     return Arc(plane=arc.plane, points=tuple(pts), r_claimed=arc.r_claimed)
 
 

@@ -66,18 +66,27 @@ class Plane:
       spec          the underlying Field
       points        tuple of normalized coordinate triples, lex order
       lines         the same tuple, read as dual triples
+      coords        the points as an (n, 3) int16 array
       point_index   triple -> index, of a point or a line
+      code_index    int16 array of length q^3: the code (x*q + y)*q + z of
+                    any nonzero vector -> the index of its point, so one
+                    lookup maps vectors that numpy computed to points
       incidence     per line, sorted tuple of incident point indices;
                     equally, per point, the lines through it
       inc           symmetric numpy uint8 matrix, rows = lines, cols = points
     """
 
-    def __init__(self, spec, points, inc):
+    def __init__(self, spec, points, code_index, on_lines):
+        n = len(points)
         self.spec = spec
         self.points = self.lines = points
+        self.coords = np.array(points, dtype=np.int16)
         self.point_index = {t: i for i, t in enumerate(points)}
-        self.inc = inc
-        self.incidence = tuple(tuple(np.flatnonzero(row).tolist()) for row in inc)
+        self.code_index = code_index
+        on_lines = np.sort(on_lines, axis=1)
+        self.incidence = tuple(map(tuple, on_lines.tolist()))
+        self.inc = np.zeros((n, n), dtype=np.uint8)
+        self.inc[np.arange(n)[:, None], on_lines] = 1
 
     @property
     def n(self) -> int:
@@ -94,21 +103,38 @@ def _normalized_triples(q: int):
     return tuple(out)
 
 
+def _codes(vecs, q):
+    v = vecs.astype(np.int32)
+    return (v[..., 0] * q + v[..., 1]) * q + v[..., 2]
+
+
+def _cross(spec: Field, u, v):
+    """Cross products of the rows of u and v, shape (N, 3)."""
+    add, mul = spec.add_np, spec.mul_np
+    neg = np.array(spec.neg_t, dtype=np.int16)
+    return np.stack(
+        [add[mul[u[:, i], v[:, j]], neg[mul[u[:, j], v[:, i]]]] for i, j in ((1, 2), (2, 0), (0, 1))],
+        axis=-1,
+    )
+
+
 def build_plane(spec: Field) -> Plane:
-    """Enumerate PG(2,q) and its full line/point incidence."""
+    """Enumerate PG(2,q) and its full line/point incidence.
+
+    A line l with its first nonzero coordinate at k holds the independent
+    points u = l x e_(k+1) and v = l x e_(k+2), so its q+1 points are
+    u + t.v for t in GF(q), and v.
+    """
     q = spec.q
     triples = _normalized_triples(q)
+    assert len(triples) == gaussian_number(3, 1, q)
     pts = np.array(triples, dtype=np.int16)
-    mul = spec.mul_np
-    add = spec.add_np
-    # inc[i, j] = 1 iff lines[i] . points[j] == 0
-    terms = [mul[pts[:, None, k], pts[None, :, k]] for k in range(3)]
-    total = add[add[terms[0], terms[1]], terms[2]]
-    inc = (total == 0).astype(np.uint8)
-    plane = Plane(spec, triples, inc)
-    expected = gaussian_number(3, 1, q)
-    assert plane.n == expected
-    return plane
+    code_index = np.zeros(q**3, dtype=np.int16)
+    code_index[_codes(spec.mul_np[np.arange(1, q)[:, None, None], pts[None]], q)] = np.arange(len(pts))
+    k = np.array([t.index(1) for t in triples])  # the leading coordinate is 1
+    u, v = (_cross(spec, pts, np.eye(3, dtype=np.int16)[(k + s) % 3]) for s in (1, 2))
+    on = spec.add_np[u[:, None], spec.mul_np[np.arange(q)[None, :, None], v[:, None]]]
+    return Plane(spec, triples, code_index, code_index[_codes(np.concatenate([on, v[:, None]], axis=1), q)])
 
 
 def incident(spec: Field, line, point) -> bool:

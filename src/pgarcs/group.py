@@ -7,7 +7,10 @@ scalars.  Matrices are stored scalar-normalized: the first nonzero entry
 in row-major order equals 1, which makes equality and hashing of
 projective classes exact.  Groups are built by breadth-first closure from
 generators, and orbit partitions on points and lines are computed from
-the generators' permutations.
+the generators' permutations.  A permutation maps all points at once:
+numpy applies the Frobenius table and the matrix to `Plane.coords` and
+looks the image vectors up in `Plane.code_index`; `apply_to_point` and
+`apply_to_line` are the one-point forms.
 
 The normalizer N(G) in PGL(3,q) maps G-orbits to G-orbits, so it permutes
 the variables of the orbit-condensed system.  `normalizer_permutations`
@@ -27,7 +30,7 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetExceededError, ParseError
-from .geometry import Plane, normalize_triple
+from .geometry import Plane, _codes, _cross, normalize_triple
 from .gf import Field
 
 __all__ = [
@@ -255,14 +258,20 @@ def conjugate_group(spec: Field, alpha: GroupElement, group: Group) -> Group:
 
 
 def point_permutation(plane: Plane, g: GroupElement):
-    """The permutation of point indices induced by the element."""
-    idx = plane.point_index
-    return tuple(idx[apply_to_point(plane.spec, g, p)] for p in plane.points)
+    """The permutation of point indices induced by the element: every
+    point mapped at once, as apply_to_point maps one."""
+    spec = plane.spec
+    pts = plane.coords
+    if g.frob:
+        pts = np.array([spec.frob(a, g.frob) for a in range(spec.q)], dtype=np.int16)[pts]
+    image = _map_vectors(spec, np.array(g.mat, dtype=np.int16).reshape(1, 9), pts)[0]
+    return tuple(plane.code_index[_codes(image, spec.q)].tolist())
 
 
 def line_permutation(plane: Plane, g: GroupElement):
-    idx = plane.point_index  # lines and points share their triples
-    return tuple(idx[apply_to_line(plane.spec, g, l)] for l in plane.lines)
+    """The permutation of line indices, by the inverse transpose of the
+    matrix as in apply_to_line (lines and points share their triples)."""
+    return point_permutation(plane, GroupElement(mat_transpose(matinv3(plane.spec, g.mat)), g.frob))
 
 
 @dataclass(frozen=True)
@@ -426,21 +435,6 @@ def _map_vectors(spec: Field, mats, vecs):
     return np.stack(out, axis=-1)
 
 
-def _cross(spec: Field, u, v):
-    """Cross products of the rows of u and v, shape (N, 3)."""
-    add, mul = spec.add_np, spec.mul_np
-    neg = np.array(spec.neg_t, dtype=np.int16)
-    return np.stack(
-        [add[mul[u[:, i], v[:, j]], neg[mul[u[:, j], v[:, i]]]] for i, j in ((1, 2), (2, 0), (0, 1))],
-        axis=-1,
-    )
-
-
-def _codes(vecs, q):
-    v = vecs.astype(np.int32)
-    return (v[..., 0] * q + v[..., 1]) * q + v[..., 2]
-
-
 def _candidate_images(spec: Field, basis, probe):
     """Images of the probe vectors under every member of span(basis)
     modulo scalars, chunk by chunk: the leading coefficient is 1, the
@@ -510,9 +504,7 @@ def normalizer_permutations(plane: Plane, orb: OrbitData, A, w, deadline=math.in
     candidates = sum((q ** len(b) - 1) // (q - 1) for b in spaces)
     if candidates > NORMALIZER_CAP:
         return None
-    pts = np.array(plane.points, dtype=np.int16)
-    vec_index = np.zeros(q**3, dtype=np.int16)  # code of any nonzero multiple -> index
-    vec_index[_codes(spec.mul_np[np.arange(1, q)[:, None, None], pts[None]], q)] = np.arange(plane.n)
+    pts, code_index = plane.coords, plane.code_index
     # probes: the unit vectors, whose images are h's columns, then the
     # representative of every point orbit
     probe = np.concatenate([np.eye(3, dtype=np.int16), pts[list(orb.point_rep)]])
@@ -535,7 +527,7 @@ def normalizer_permutations(plane: Plane, orb: OrbitData, A, w, deadline=math.in
         crosses = (_cross(spec, b, c), _cross(spec, c, a), _cross(spec, a, b))
         t = spec.mul_np[a, crosses[0]]  # det = a . (b x c)
         invertible = np.flatnonzero(spec.add_np[spec.add_np[t[:, 0], t[:, 1]], t[:, 2]])
-        sigma = point_orbit[vec_index[_codes(images[invertible, 3:], q)]]
+        sigma = point_orbit[code_index[_codes(images[invertible, 3:], q)]]
         order += len(sigma)
         kernel += int((sigma == ident).all(axis=1).sum())
         keys, first = np.unique(sigma.astype(np.int64) @ weights, return_index=True)
@@ -547,7 +539,7 @@ def normalizer_permutations(plane: Plane, orb: OrbitData, A, w, deadline=math.in
         sigma = sigma[first]
         # h^-T is proportional to the matrix with columns b x c, c x a, a x b
         cof = np.stack([x[invertible[first]] for x in crosses], axis=-1).reshape(len(first), 9)
-        tau = line_orbit[vec_index[_codes(_map_vectors(spec, cof, line_rep), q)]]
+        tau = line_orbit[code_index[_codes(_map_vectors(spec, cof, line_rep), q)]]
         if not (
             _is_permutation(sigma)
             and _is_permutation(tau)

@@ -1,22 +1,57 @@
 import functools
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from pgarcs.classify import canonical_label, enumerate_cyclic_classes, min_poly, run_exclusion
+from pgarcs.classify import (
+    canonical_label,
+    enumerate_cyclic_classes,
+    gl3_class_representatives,
+    min_poly,
+    pgl_label,
+    run_exclusion,
+)
 from pgarcs.gf import Field
 from pgarcs.group import closure, compose, inverse, make_element
 
 
-@pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
 def test_class_count_is_p2_p_2_exactly_when_3_divides_p_minus_1(p):
-    # conjugacy classes of PGL(3,p), the trivial class included; p = 13
-    # (184 classes) is left out only for its running time
+    # conjugacy classes of PGL(3,p), the trivial class included
     classes = enumerate_cyclic_classes(p)
     assert len(classes) == p * p + p + (2 if (p - 1) % 3 == 0 else 0)
     assert [c.is_trivial for c in classes].count(True) == 1
     assert classes[0].is_trivial
+
+
+CLASS_DIGESTS = {
+    2: "3fedfd2e5d43a0788bc85d3c8d51ff9d9e1b4578c90f273cfe5ab109ba723e81",
+    3: "b7a78c28111c5202bdc37db7edde52ca56c30943b8fa1124a5d673a19866a48f",
+    5: "922807336348ca4665ae21fb8b54a513354fd4dfb78384c261092040a344f9ba",
+    7: "4e2db3af77e04060d65ccfbd5c2e506042bd2ad5a1c51acfc9bd3fab99f1b0ee",
+    11: "c4c7e8e007ae80742ca7d5f0c42b913de52bfe305f46a25182374e5bfbd3da19",
+}
+
+
+@pytest.mark.parametrize("p", sorted(CLASS_DIGESTS))
+def test_the_class_list_is_frozen(p):
+    # ids, orders, labels, signatures and generators, as listed when each
+    # scalar multiple still got its own canonical_label
+    rows = [
+        (c.class_id, c.projective_order, c.label, c.signature, c.generator.mat, c.generator.frob)
+        for c in enumerate_cyclic_classes(p)
+    ]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == CLASS_DIGESTS[p]
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+def test_pgl_label_is_the_least_label_of_a_scalar_multiple(p):
+    spec = Field(p)
+    for m in gl3_class_representatives(p):
+        multiples = (tuple(tuple(spec.mul(lam, v) for v in row) for row in m) for lam in range(1, p))
+        assert pgl_label(spec, m) == min(canonical_label(spec, x) for x in multiples)
 
 
 def test_a_sweep_accepts_only_one_thread():

@@ -122,6 +122,29 @@ def test_duality_small_q():
         assert (dual == mat.T).all()
 
 
+def dot_product_incidence(spec, points):
+    """inc[i, j] = 1 iff line i . point j = 0, summed with the field's
+    tables for every (line, point) pair."""
+    pts = np.array(points, dtype=np.int16)
+    add, mul = spec.add_np, spec.mul_np
+    terms = [mul[pts[:, None, k], pts[None, :, k]] for k in range(3)]
+    return (add[add[terms[0], terms[1]], terms[2]] == 0).astype(np.uint8)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 29, 31])
+def test_plane_matches_the_dot_product(q):
+    spec = field_for_order(q)
+    plane = build_plane(spec)
+    assert (plane.inc == dot_product_incidence(spec, plane.points)).all()
+    assert plane.incidence == tuple(tuple(np.flatnonzero(row).tolist()) for row in plane.inc)
+    assert all(len(pts) == q + 1 for pts in plane.incidence)
+    assert (plane.coords == np.array(plane.points)).all()
+    for i, point in enumerate(plane.points):
+        for lam in range(1, q):
+            x, y, z = (spec.mul_t[lam][c] for c in point)
+            assert plane.code_index[(x * q + y) * q + z] == i
+
+
 def test_normalization_idempotent_scale_invariant():
     f = field_for_order(9)
     for t in ((0, 0, 4), (0, 3, 7), (2, 8, 1), (1, 0, 0)):

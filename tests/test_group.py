@@ -18,6 +18,7 @@ from pgarcs.group import (
     format_group_file,
     identity_element,
     inverse,
+    line_permutation,
     make_element,
     normalizer_permutations,
     orbits,
@@ -84,6 +85,21 @@ def test_line_image_matches_pointwise_image():
             }
             expected = {plane.points[j] for j in plane.incidence[plane.point_index[moved]]}
             assert image_pts == expected
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 5, 7])
+def test_permutations_match_the_pointwise_action(q):
+    # linear and, over extension fields, semilinear elements: no corpus
+    # group is semilinear, so only this test maps points through a
+    # Frobenius power all at once
+    f = field_for_order(q)
+    plane = build_plane(f)
+    idx = plane.point_index
+    rng = random.Random(q)
+    for frob in [0, 0] + [rng.randrange(1, f.e) for _ in range(3) if f.e > 1]:
+        g = GroupElement(random_invertible(f, rng).mat, frob)
+        assert point_permutation(plane, g) == tuple(idx[apply_to_point(f, g, p)] for p in plane.points)
+        assert line_permutation(plane, g) == tuple(idx[apply_to_line(f, g, l)] for l in plane.lines)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
