@@ -18,7 +18,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ParseError
-from .geometry import Plane, _normalized_triples, build_plane, normalize_triple
+from .geometry import Plane, _normalized_triples, build_plane
 from .gf import Field, is_prime
 from .group import (
     Group,
@@ -90,7 +90,9 @@ def verify_arc(arc: Arc, group: Group | None = None) -> ArcReport:
     pts = list(arc.points)
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate point indices")
-    mult = arc.plane.inc[:, pts].sum(axis=1)
+    sel = np.zeros(arc.plane.n, dtype=bool)
+    sel[pts] = True
+    mult = sel[arc.plane.incidence].sum(axis=1)
     rmax = int(mult.max())
     report = ArcReport(
         n=len(pts),
@@ -141,8 +143,7 @@ def to_generator_matrix(arc: Arc):
     """3 x n matrix whose columns are the arc's points in sorted order."""
     if not arc.points:
         raise ValueError("empty arc has no generator matrix")
-    cols = [arc.plane.points[i] for i in sorted(arc.points)]
-    return tuple(tuple(col[i] for col in cols) for i in range(3))
+    return tuple(map(tuple, arc.plane.coords[sorted(arc.points)].T.tolist()))
 
 
 def min_distance(spec: Field, gen) -> int:
@@ -182,7 +183,8 @@ def parse_arc_file(text: str, plane: Plane | None = None) -> ParsedArc:
     Header lines ``q= p= e= poly= r=`` (poly omitted for prime fields),
     an optional ``group-begin``/``group-end`` block holding generators in
     the group file format, then ``points:`` followed by ``(a,b,c)`` tuples
-    in the field's integer element coding.  When a group is present the
+    in the field's integer element coding.  Tuples need not be normalized:
+    any nonzero multiple names its point.  When a group is present the
     loader checks that it stabilizes the arc under the column action and
     falls back to the transposed action, recording which one succeeded.
     """
@@ -249,18 +251,19 @@ def parse_arc_file(text: str, plane: Plane | None = None) -> ParsedArc:
     elif plane.spec != spec:
         raise ValueError("supplied plane does not match the file's field")
 
+    q = spec.q
     indices = []
     seen = set()
     for lineno, tok in point_tokens:
         m = _TUPLE_RE.match(tok)
         if not m:
             raise ParseError(f"malformed point tuple {tok!r}", lineno)
-        triple = tuple(int(v) for v in m.groups())
-        if any(v >= spec.q for v in triple):
+        x, y, z = (int(v) for v in m.groups())
+        if max(x, y, z) >= q:
             raise ParseError(f"coordinate out of range in {tok!r}", lineno)
-        if triple == (0, 0, 0):
+        if not (x or y or z):
             raise ParseError("the zero triple is not a point", lineno)
-        idx = plane.point_index[normalize_triple(spec, triple)]
+        idx = int(plane.code_index[(x * q + y) * q + z])
         if idx in seen:
             raise ParseError(f"duplicate point {tok}", lineno)
         seen.add(idx)
@@ -282,7 +285,7 @@ def format_arc_file(spec: Field, points, r: int, plane: Plane, generators=()) ->
     if generators:
         out += ["group-begin", *format_group_file(generators).splitlines(), "group-end"]
     out.append("points:")
-    pts = [plane.points[i] for i in sorted(points)]
+    pts = plane.coords[sorted(points)].tolist()
     for start in range(0, len(pts), 8):
         out.append(" ".join(f"({a},{b},{c})" for a, b, c in pts[start : start + 8]))
     return "\n".join(out) + "\n"

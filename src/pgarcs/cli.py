@@ -14,9 +14,11 @@ bounded by the wall clock.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
+from collections import Counter
 from importlib import resources
 
 from . import __version__
@@ -46,11 +48,14 @@ EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
 
+def _read(path, mode="r"):
+    """The whole file, closed before returning."""
+    with open(path, mode) as fh:
+        return fh.read()
+
+
 def _digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+    return hashlib.sha256(_read(path, "rb")).hexdigest()
 
 
 def _meta(field=None, inputs=()):
@@ -94,10 +99,10 @@ def _field_from_args(args):
 
 
 def cmd_verify(args):
-    pa = parse_arc_file(open(args.arcfile).read())
+    pa = parse_arc_file(_read(args.arcfile))
     group, convention = pa.group, pa.convention
     if args.group:
-        gens = parse_group_file(open(args.group).read(), pa.spec)
+        gens = parse_group_file(_read(args.group), pa.spec)
         group, convention, _ = admitted_group(pa.arc, gens)
     report = verify_arc(pa.arc, group).to_dict()
     report["convention"] = convention
@@ -111,14 +116,12 @@ def cmd_verify(args):
 
 def cmd_condense(args):
     spec = _field_from_args(args)
-    gens = parse_group_file(open(args.group).read(), spec) if args.group else []
+    gens = parse_group_file(_read(args.group), spec) if args.group else []
     plane = build_plane(spec)
     grp = closure(spec, gens)
     od = orbits(plane, grp)
     cs = condense(plane, od, args.r)
-    hist = {}
-    for w in od.weights:
-        hist[w] = hist.get(w, 0) + 1
+    hist = Counter(od.weights)
     summary = {
         "ell": cs.ell,
         "group_order": grp.order,
@@ -130,7 +133,7 @@ def cmd_condense(args):
 
 
 def cmd_solve(args):
-    cs = parse_system(open(args.system).read())
+    cs = parse_system(_read(args.system))
     model = IlpModel(cs)
     if args.target is not None:
         sol = solve_feasible(model, target=args.target, budget=args.budget)
@@ -211,7 +214,7 @@ def cmd_oracle(args):
 
 
 def cmd_code(args):
-    pa = parse_arc_file(open(args.arcfile).read())
+    pa = parse_arc_file(_read(args.arcfile))
     gen = to_generator_matrix(pa.arc)
     d = min_distance(pa.spec, gen)
     rep = verify_arc(pa.arc)
@@ -272,6 +275,7 @@ def cmd_tables(args):
     return EXIT_OK if all_ok else EXIT_ERROR
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="pgarcs",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from .errors import NotAdmittedError
+from .errors import NotAdmittedError, ParseError
 from .geometry import Plane
 from .group import OrbitData, normalizer_permutations
 
@@ -48,27 +48,26 @@ class CondensedSystem:
         return tuple(sum(row) for row in self.A)
 
 
+def _orbit_counts(plane: Plane, reps, orbit_of, ell):
+    """Per representative, how many entries of its row of `incidence`
+    fall in each orbit of `orbit_of`."""
+    counts = []
+    for rep in reps:
+        row = [0] * ell
+        for j in plane.incidence[rep].tolist():
+            row[orbit_of[j]] += 1
+        counts.append(tuple(row))
+    return tuple(counts)
+
+
 def condense(plane: Plane, orb: OrbitData, r: int) -> CondensedSystem:
     """Build the condensed system for the orbit partition and bound r."""
     q = plane.spec.q
     if not 1 <= r <= q + 1:
         raise ValueError(f"r={r} out of range 1..{q + 1}")
-    ell = orb.ell
-    A = []
-    for rep in orb.line_rep:
-        row = [0] * ell
-        for j in plane.incidence[rep]:
-            row[orb.point_orbit_of[j]] += 1
-        A.append(tuple(row))
-    A = tuple(A)
-    system = CondensedSystem(
-        ell=ell,
-        A=A,
-        w=orb.weights,
-        r=r,
-        q=q,
-        normalizer=partial(normalizer_permutations, plane, orb, A, orb.weights),
-    )
+    A = _orbit_counts(plane, orb.line_rep, orb.point_orbit_of, orb.ell)
+    normalizer = partial(normalizer_permutations, plane, orb, A, orb.weights)
+    system = CondensedSystem(ell=orb.ell, A=A, w=orb.weights, r=r, q=q, normalizer=normalizer)
     assert all(s == q + 1 for s in system.row_sums())
     return system
 
@@ -76,15 +75,9 @@ def condense(plane: Plane, orb: OrbitData, r: int) -> CondensedSystem:
 def dual_condensation(plane: Plane, orb: OrbitData):
     """Counts of lines of line-orbit i through the representative point of
     point-orbit j; used for the double-counting consistency check.  The
-    plane is self-dual, so `incidence` lists the lines through a point."""
-    ell = orb.ell
-    Abar = []
-    for rep in orb.point_rep:
-        row = [0] * ell
-        for i in plane.incidence[rep]:
-            row[orb.line_orbit_of[i]] += 1
-        Abar.append(tuple(row))
-    return tuple(Abar)
+    plane is self-dual, so a row of `incidence` also lists the lines
+    through a point."""
+    return _orbit_counts(plane, orb.point_rep, orb.line_orbit_of, orb.ell)
 
 
 def expand_solution(plane: Plane, orb: OrbitData, x):
@@ -131,12 +124,17 @@ def format_system(system: CondensedSystem) -> str:
 
 def parse_system(text: str) -> CondensedSystem:
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    header = dict(tok.split("=") for tok in lines[0].split())
+    if not lines:
+        raise ParseError("empty condensed system")
+    header = dict(tok.partition("=")[::2] for tok in lines[0].split())
+    for key in ("ell", "q", "r"):
+        if key not in header:
+            raise ParseError(f"header has no {key}=")
     ell, q, r = int(header["ell"]), int(header["q"]), int(header["r"])
-    if not lines[1].startswith("w:"):
-        raise ValueError("missing weight line")
+    if len(lines) < 2 or not lines[1].startswith("w:"):
+        raise ParseError("missing weight line")
     w = tuple(int(v) for v in lines[1][2:].split())
     A = tuple(tuple(int(v) for v in ln.split()) for ln in lines[2 : 2 + ell])
     if len(w) != ell or len(A) != ell or any(len(row) != ell for row in A):
-        raise ValueError("condensed system dimensions do not match header")
+        raise ParseError("condensed system dimensions do not match header")
     return CondensedSystem(ell=ell, A=A, w=w, r=r, q=q)

@@ -6,6 +6,10 @@ so the leftmost nonzero coordinate is 1.  A line (2-subspace) is stored by
 its dual triple d, normalized the same way, and consists of the points x
 with d.x = 0.  Enumeration is lexicographic by coded coordinates, so every
 plane, matrix, and orbit representative downstream is reproducible.
+
+A `Plane` holds four fields: `spec`, `coords` (the points as an (n, 3)
+array), `code_index` (any nonzero vector -> its point) and `incidence`
+(the sorted points of each line, an (n, q+1) array).
 """
 
 from __future__ import annotations
@@ -48,49 +52,37 @@ def normalize_triple(spec: Field, t):
     raise ValueError("cannot normalize the zero triple")
 
 
-def dot(spec: Field, u, v) -> int:
-    mul = spec.mul_t
-    add = spec.add_t
-    return add[add[mul[u[0]][v[0]]][mul[u[1]][v[1]]]][mul[u[2]][v[2]]]
-
-
 class Plane:
-    """PG(2,q) with indexed points/lines and incidence lists.
+    """PG(2,q) as its field and three read-only numpy arrays.
 
     The plane is self-dual and stored once: line i is the dual triple of
-    point i, so `lines` is the very tuple `points` and `inc` is symmetric.
-    Hence `point_index` also indexes lines, and `incidence` also lists the
-    lines through each point.
+    point i, so row i of `incidence` lists the points on line i and,
+    equally, the lines through point i.
 
     Immutable after build_plane; attributes:
       spec          the underlying Field
-      points        tuple of normalized coordinate triples, lex order
-      lines         the same tuple, read as dual triples
-      coords        the points as an (n, 3) int16 array
-      point_index   triple -> index, of a point or a line
+      coords        (n, 3) int16 array of normalized coordinate triples,
+                    lex order; row i is point i and the dual triple of
+                    line i
       code_index    int16 array of length q^3: the code (x*q + y)*q + z of
                     any nonzero vector -> the index of its point, so one
                     lookup maps vectors that numpy computed to points
-      incidence     per line, sorted tuple of incident point indices;
-                    equally, per point, the lines through it
-      inc           symmetric numpy uint8 matrix, rows = lines, cols = points
+      incidence     (n, q+1) int16 array: row i holds the sorted indices
+                    of the points on line i, equally of the lines
+                    through point i
     """
 
-    def __init__(self, spec, points, code_index, on_lines):
-        n = len(points)
+    def __init__(self, spec, coords, code_index, incidence):
+        for a in (coords, code_index, incidence):
+            a.flags.writeable = False
         self.spec = spec
-        self.points = self.lines = points
-        self.coords = np.array(points, dtype=np.int16)
-        self.point_index = {t: i for i, t in enumerate(points)}
+        self.coords = coords
         self.code_index = code_index
-        on_lines = np.sort(on_lines, axis=1)
-        self.incidence = tuple(map(tuple, on_lines.tolist()))
-        self.inc = np.zeros((n, n), dtype=np.uint8)
-        self.inc[np.arange(n)[:, None], on_lines] = 1
+        self.incidence = incidence
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.coords)
 
     def __repr__(self):
         return f"Plane(q={self.spec.q}, {self.n} points)"
@@ -134,9 +126,11 @@ def build_plane(spec: Field) -> Plane:
     k = np.array([t.index(1) for t in triples])  # the leading coordinate is 1
     u, v = (_cross(spec, pts, np.eye(3, dtype=np.int16)[(k + s) % 3]) for s in (1, 2))
     on = spec.add_np[u[:, None], spec.mul_np[np.arange(q)[None, :, None], v[:, None]]]
-    return Plane(spec, triples, code_index, code_index[_codes(np.concatenate([on, v[:, None]], axis=1), q)])
+    on_lines = code_index[_codes(np.concatenate([on, v[:, None]], axis=1), q)]
+    return Plane(spec, pts, code_index, np.sort(on_lines, axis=1))
 
 
 def incident(spec: Field, line, point) -> bool:
     """True iff the point lies on the line (dual dot product vanishes)."""
-    return dot(spec, line, point) == 0
+    mul, add = spec.mul_t, spec.add_t
+    return add[add[mul[line[0]][point[0]]][mul[line[1]][point[1]]]][mul[line[2]][point[2]]] == 0

@@ -18,6 +18,7 @@ from pgarcs.arcs import (
 )
 from pgarcs.condense import compress_arc
 from pgarcs.errors import NotAdmittedError, ParseError
+from pgarcs.geometry import _normalized_triples
 from pgarcs.group import closure, conjugate_group, make_element, orbits
 
 
@@ -122,7 +123,7 @@ def test_generator_matrix_shape_and_independence(plane_for):
 
 def test_single_point_matrix(plane_for):
     plane = plane_for(2)
-    arc = Arc(plane=plane, points=(plane.point_index[(1, 0, 0)],))
+    arc = Arc(plane=plane, points=(_normalized_triples(2).index((1, 0, 0)),))
     assert to_generator_matrix(arc) == ((1,), (0,), (0,))
 
 
@@ -139,8 +140,7 @@ def test_min_distance_corpus_39():
 
 def test_min_distance_rank_check(plane_for):
     plane = plane_for(3)
-    line_pts = plane.incidence[0]
-    arc = Arc(plane=plane, points=tuple(line_pts))
+    arc = Arc(plane=plane, points=tuple(plane.incidence[0].tolist()))
     with pytest.raises(ValueError):
         min_distance(plane.spec, to_generator_matrix(arc))
 
@@ -192,6 +192,18 @@ def test_scaled_tuples_normalize_to_duplicates():
     text = "q=5\np=5\ne=1\nr=2\npoints:\n(0,1,2) (0,2,4)\n"
     with pytest.raises(ParseError):
         parse_arc_file(text)
+
+
+def test_extension_field_tuples_need_not_be_normalized(plane_for):
+    plane = plane_for(25)
+    spec = plane.spec
+    header = f"q=25\n{spec.spec_string()}\nr=2\npoints:\n".replace(" ", "\n")
+    point = (1, 7, 18)
+    scaled = "({},{},{})".format(*(spec.mul(13, c) for c in point))
+    pa = parse_arc_file(header + scaled + "\n", plane=plane)
+    assert pa.arc.points == (_normalized_triples(25).index(point),)
+    with pytest.raises(ParseError, match="line 7: duplicate point"):
+        parse_arc_file(header + f"(1,7,18) {scaled}\n", plane=plane)
 
 
 def test_corpus_text_unknown_name():

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from pgarcs import cli
+from pgarcs.arcs import corpus_text, format_arc_file, load_corpus_arc
+from pgarcs.group import format_group_file, transpose_element
 
 
 def run(capsys, argv):
@@ -99,3 +101,61 @@ def test_exclude_lists_found_witnesses_as_realized(capsys):
     report = json.loads(out)
     assert (report["realized"], report["undecided"]) == ([1, 2, 5, 7, 8], [3])
     assert 3 not in report["excluded"]
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    (
+        ("", "empty condensed system"),
+        ("ell=1 q=2\nw: 1\n3\n", "header has no r="),
+        ("ell=1 q=2 r=1\n3\n", "missing weight line"),
+    ),
+)
+def test_solve_rejects_malformed_systems(tmp_path, capsys, text, message):
+    system = tmp_path / "bad.sys"
+    system.write_text(text)
+    rc, out, err = run(capsys, ["solve", "--system", str(system)])
+    assert (rc, out) == (cli.EXIT_ERROR, "")
+    assert err == f"error: {message}\n"
+
+
+def corpus_file(tmp_path, name, text=None):
+    path = tmp_path / name
+    path.write_text(corpus_text(name) if text is None else text)
+    return str(path)
+
+
+def test_verify_and_code_on_a_corpus_arc(tmp_path, capsys):
+    arcfile = corpus_file(tmp_path, "q25_r3_n39.arc")
+    rc, out, _ = run(capsys, ["verify", arcfile])
+    report = json.loads(out)
+    assert rc == cli.EXIT_OK
+    assert (report["n"], report["max_multiplicity"], report["r_claimed"]) == (39, 3, 3)
+    assert (report["group_admitted"], report["convention"]) == (True, "column")
+    rc, out, _ = run(capsys, ["code", arcfile])
+    code = json.loads(out)
+    assert rc == cli.EXIT_OK
+    assert (code["n"], code["k"], code["d"], code["n_minus_r"]) == (39, 3, 36, 36)
+
+
+def test_verify_group_file_with_transposed_generators(tmp_path, capsys):
+    pa = load_corpus_arc("q25_r3_n39.arc")
+    spec = pa.spec
+    arcfile = corpus_file(tmp_path, "plain.arc", format_arc_file(spec, pa.arc.points, 3, pa.arc.plane))
+    group = tmp_path / "rows.grp"
+    group.write_text(format_group_file([transpose_element(spec, g) for g in pa.group.generators]))
+    rc, out, _ = run(capsys, ["verify", arcfile, "--group", str(group)])
+    report = json.loads(out)
+    assert rc == cli.EXIT_OK
+    assert (report["group_admitted"], report["convention"]) == (True, "row")
+
+
+def test_verify_rejects_a_malformed_arc_file(tmp_path, capsys):
+    arcfile = corpus_file(tmp_path, "bad.arc", "q=5\nr=2\npoints:\n(1,0,0) (1,2)\n")
+    rc, out, err = run(capsys, ["verify", arcfile])
+    assert (rc, out) == (cli.EXIT_ERROR, "")
+    assert err.startswith("error: line 4: malformed point tuple")

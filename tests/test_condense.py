@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_cyclic_group, s3_group
+from pgarcs.arcs import Arc, verify_arc
 from pgarcs.condense import (
     NotAdmittedError,
     compress_arc,
@@ -13,14 +14,18 @@ from pgarcs.condense import (
     format_system,
     parse_system,
 )
+from pgarcs.geometry import _normalized_triples
 from pgarcs.gf import Field
 from pgarcs.group import closure, make_element, orbits
+from test_geometry import dot_product_incidence
 
 C0_Q13 = ((0, 1, 0), (1, 0, 0), (0, 0, 12))
 
 
 def line_multiplicities(plane, points):
-    return plane.inc[:, list(points)].sum(axis=1)
+    """Points of the set on each line, from the dot-product reference."""
+    ref = dot_product_incidence(plane.spec, _normalized_triples(plane.spec.q))
+    return ref[:, list(points)].sum(axis=1)
 
 
 def test_trivial_group_condensation_is_incidence_matrix(plane_for):
@@ -29,7 +34,7 @@ def test_trivial_group_condensation_is_incidence_matrix(plane_for):
     cs = condense(plane, od, 2)
     assert cs.ell == 7
     assert cs.w == (1,) * 7
-    assert np.array_equal(np.array(cs.A), plane.inc)
+    assert np.array_equal(np.array(cs.A), dot_product_incidence(plane.spec, _normalized_triples(2)))
 
 
 def test_row_sums_s3_gf16(plane_for):
@@ -106,7 +111,10 @@ def test_feasibility_transfer_exhaustive_small(plane_for):
             pts = expand_solution(plane, od, x)
             assert len(pts) == sum(w for w, xj in zip(cs.w, x) if xj)
             if pts:
-                assert line_multiplicities(plane, pts).max() <= r
+                mult = line_multiplicities(plane, pts)
+                assert mult.max() <= r
+                rep = verify_arc(Arc(plane=plane, points=pts))
+                assert (rep.max_multiplicity, rep.lines_at_max) == (mult.max(), (mult == mult.max()).sum())
 
 
 def test_compress_round_trip(plane_for):

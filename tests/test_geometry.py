@@ -5,6 +5,7 @@ import pytest
 
 from pgarcs.gf import Field, field_for_order
 from pgarcs.geometry import (
+    _normalized_triples,
     build_plane,
     gaussian_number,
     incident,
@@ -49,23 +50,30 @@ def test_gaussian_examples():
         gaussian_number(2, 3, 5)
 
 
+def incidence_matrix(plane):
+    """The n x n 0/1 matrix of the stored incidence: rows lines, columns points."""
+    mat = np.zeros((plane.n, plane.n), dtype=np.uint8)
+    mat[np.arange(plane.n)[:, None], plane.incidence] = 1
+    return mat
+
+
 def test_fano_plane():
     plane = build_plane(Field(2))
     assert plane.n == 7
-    assert len(plane.lines) == 7
-    assert all(len(pts) == 3 for pts in plane.incidence)
+    assert plane.incidence.shape == (7, 3)
 
 
 def test_q31_counts():
     plane = build_plane(Field(31))
     assert plane.n == 993
-    assert len(plane.lines) == 993
+    assert plane.incidence.shape == (993, 32)
 
 
 def test_every_pair_on_one_line_q4():
     plane = build_plane(field_for_order(4))
+    rows = plane.incidence.tolist()
     for i, j in combinations(range(plane.n), 2):
-        common = set(plane.incidence[i]) & set(plane.incidence[j])
+        common = set(rows[i]) & set(rows[j])
         assert len(common) == 1
 
 
@@ -77,49 +85,40 @@ def test_incident_examples():
 
 def test_line_sizes_q16():
     plane = build_plane(field_for_order(16))
-    assert all(len(pts) == 17 for pts in plane.incidence)
-    assert (plane.inc == plane.inc.T).all()
+    assert plane.incidence.shape == (plane.n, 17)
+    # self-dual: j is on line i iff line j passes through point i
+    mat = incidence_matrix(plane)
+    assert (mat == mat.T).all()
 
 
 def test_incidence_matrix_row_col_sums():
     for q in (2, 3, 5):
         plane = build_plane(Field(q))
-        mat = plane.inc
+        mat = incidence_matrix(plane)
         assert (mat.sum(axis=1) == q + 1).all()
         assert (mat.sum(axis=0) == q + 1).all()
 
 
 def test_matrix_matches_incidence_lists_q5():
     plane = build_plane(Field(5))
-    rebuilt = np.zeros_like(plane.inc)
-    for i, pts in enumerate(plane.incidence):
-        for j in pts:
-            rebuilt[i, j] = 1
-    assert (rebuilt == plane.inc).all()
-    # independent double construction from the scalar dot product
+    triples = _normalized_triples(5)
     direct = np.array(
-        [
-            [1 if incident(plane.spec, l, p) else 0 for p in plane.points]
-            for l in plane.lines
-        ],
+        [[1 if incident(plane.spec, l, p) else 0 for p in triples] for l in triples],
         dtype=np.uint8,
     )
-    assert (direct == plane.inc).all()
+    assert (direct == incidence_matrix(plane)).all()
 
 
 def test_duality_small_q():
     for q in (2, 3, 4, 5, 7, 8, 9):
         plane = build_plane(field_for_order(q))
-        mat = plane.inc
+        triples = _normalized_triples(q)
         # swapping the roles of points and lines gives the transpose
         dual = np.array(
-            [
-                [1 if incident(plane.spec, p, l) else 0 for l in plane.lines]
-                for p in plane.points
-            ],
+            [[1 if incident(plane.spec, p, l) else 0 for l in triples] for p in triples],
             dtype=np.uint8,
         )
-        assert (dual == mat.T).all()
+        assert (dual == incidence_matrix(plane).T).all()
 
 
 def dot_product_incidence(spec, points):
@@ -135,14 +134,23 @@ def dot_product_incidence(spec, points):
 def test_plane_matches_the_dot_product(q):
     spec = field_for_order(q)
     plane = build_plane(spec)
-    assert (plane.inc == dot_product_incidence(spec, plane.points)).all()
-    assert plane.incidence == tuple(tuple(np.flatnonzero(row).tolist()) for row in plane.inc)
-    assert all(len(pts) == q + 1 for pts in plane.incidence)
-    assert (plane.coords == np.array(plane.points)).all()
-    for i, point in enumerate(plane.points):
+    triples = _normalized_triples(q)
+    assert plane.coords.dtype == plane.incidence.dtype == np.int16
+    assert plane.coords.tolist() == [list(t) for t in triples]
+    ref = dot_product_incidence(spec, triples)
+    assert plane.incidence.shape == (plane.n, q + 1)
+    assert (plane.incidence == np.nonzero(ref)[1].reshape(plane.n, q + 1)).all()
+    for i, point in enumerate(triples):
         for lam in range(1, q):
             x, y, z = (spec.mul_t[lam][c] for c in point)
             assert plane.code_index[(x * q + y) * q + z] == i
+
+
+def test_plane_is_read_only():
+    plane = build_plane(Field(3))
+    for a in (plane.coords, plane.code_index, plane.incidence):
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 def test_normalization_idempotent_scale_invariant():
@@ -161,4 +169,4 @@ def test_counts_match_gaussian():
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
         plane = build_plane(field_for_order(q))
         assert plane.n == gaussian_number(3, 1, q)
-        assert len(plane.lines) == gaussian_number(3, 2, q)
+        assert len(plane.incidence) == gaussian_number(3, 2, q)

@@ -6,7 +6,7 @@ import pytest
 from pgarcs.condense import condense
 from pgarcs.errors import BudgetExceededError, ParseError
 from pgarcs.gf import Field, field_for_order
-from pgarcs.geometry import build_plane, incident
+from pgarcs.geometry import _normalized_triples, build_plane, incident
 from pgarcs.group import (
     GroupElement,
     apply_to_line,
@@ -47,9 +47,8 @@ def random_invertible(spec, rng):
 
 def test_identity_fixes_points():
     f = field_for_order(9)
-    plane = build_plane(f)
     ident = identity_element(f)
-    for p in plane.points:
+    for p in _normalized_triples(9):
         assert apply_to_point(f, ident, p) == p
         assert apply_to_line(f, ident, p) == p
 
@@ -75,16 +74,16 @@ def test_line_image_matches_pointwise_image():
     f = field_for_order(8)
     plane = build_plane(f)
     rng = random.Random(2)
+    triples = _normalized_triples(8)
     for _ in range(5):
         g = random_invertible(f, rng)
         for li in (0, 3, 17):
-            line = plane.lines[li]
-            moved = apply_to_line(f, g, line)
+            moved = apply_to_line(f, g, triples[li])
             image_pts = {
-                apply_to_point(f, g, plane.points[j]) for j in plane.incidence[li]
+                apply_to_point(f, g, triples[j]) for j in plane.incidence[li].tolist()
             }
-            expected = {plane.points[j] for j in plane.incidence[plane.point_index[moved]]}
-            assert image_pts == expected
+            on_moved = plane.incidence[triples.index(moved)].tolist()
+            assert image_pts == {triples[j] for j in on_moved}
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 5, 7])
@@ -94,12 +93,13 @@ def test_permutations_match_the_pointwise_action(q):
     # Frobenius power all at once
     f = field_for_order(q)
     plane = build_plane(f)
-    idx = plane.point_index
+    triples = _normalized_triples(q)
+    idx = {t: i for i, t in enumerate(triples)}
     rng = random.Random(q)
     for frob in [0, 0] + [rng.randrange(1, f.e) for _ in range(3) if f.e > 1]:
         g = GroupElement(random_invertible(f, rng).mat, frob)
-        assert point_permutation(plane, g) == tuple(idx[apply_to_point(f, g, p)] for p in plane.points)
-        assert line_permutation(plane, g) == tuple(idx[apply_to_line(f, g, l)] for l in plane.lines)
+        assert point_permutation(plane, g) == tuple(idx[apply_to_point(f, g, p)] for p in triples)
+        assert line_permutation(plane, g) == tuple(idx[apply_to_line(f, g, l)] for l in triples)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -108,14 +108,11 @@ def test_incidence_preserved_exhaustively(q):
     plane = build_plane(f)
     g = random_invertible(f, random.Random(q))
     pperm = point_permutation(plane, g)
-    lmap = {
-        i: plane.point_index[apply_to_line(f, g, l)] for i, l in enumerate(plane.lines)
-    }
-    for i, line in enumerate(plane.lines):
-        for j, pt in enumerate(plane.points):
-            assert incident(f, line, pt) == incident(
-                f, plane.lines[lmap[i]], plane.points[pperm[j]]
-            )
+    triples = _normalized_triples(q)
+    lmap = [triples.index(apply_to_line(f, g, l)) for l in triples]
+    for i, line in enumerate(triples):
+        for j, pt in enumerate(triples):
+            assert incident(f, line, pt) == incident(f, triples[lmap[i]], triples[pperm[j]])
 
 
 def test_s3_closure_order_6():
@@ -156,24 +153,22 @@ def test_scalar_normalization():
 
 def test_action_law_composition():
     f = field_for_order(9)
-    plane = build_plane(f)
     rng = random.Random(4)
     g = random_invertible(f, rng)
     h = random_invertible(f, rng)
     gh = compose(f, g, h)
-    for p in plane.points:
+    for p in _normalized_triples(9):
         assert apply_to_point(f, gh, p) == apply_to_point(f, g, apply_to_point(f, h, p))
     assert compose(f, g, inverse(f, g)) == identity_element(f)
 
 
 def test_frobenius_twist_composition():
     f = field_for_order(4)
-    plane = build_plane(f)
     g = GroupElement(((1, 0, 0), (0, 1, 0), (0, 0, 1)), frob=1)
     h = make_element(f, ((0, 1, 0), (0, 0, 1), (1, 0, 0)), frob=1)
     gh = compose(f, g, h)
     assert gh.frob == 0
-    for p in plane.points:
+    for p in _normalized_triples(4):
         assert apply_to_point(f, gh, p) == apply_to_point(f, g, apply_to_point(f, h, p))
     assert compose(f, h, inverse(f, h)) == identity_element(f)
 

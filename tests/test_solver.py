@@ -12,6 +12,7 @@ from pgarcs import solver
 from pgarcs.arcs import load_corpus_arc
 from pgarcs.condense import condense, format_system, parse_system
 from pgarcs.errors import BudgetExceededError
+from pgarcs.geometry import _normalized_triples
 from pgarcs.gf import Field
 from pgarcs.group import closure, make_element, orbits
 from pgarcs.solver import (
@@ -30,6 +31,7 @@ from pgarcs.solver import (
     solve_feasible,
     solve_max,
 )
+from test_geometry import dot_product_incidence
 
 C0_Q13 = ((0, 1, 0), (1, 0, 0), (0, 0, 12))
 C0_Q3 = ((0, 1, 0), (1, 0, 0), (0, 0, 2))
@@ -356,7 +358,7 @@ def test_trivial_group_condensation_solves_identically(plane_for):
     plane = plane_for(3)
     od = orbits(plane, closure(plane.spec, []))
     cs = condense(plane, od, 2)
-    assert [list(row) for row in cs.A] == plane.inc.tolist()
+    assert [list(row) for row in cs.A] == dot_product_incidence(plane.spec, _normalized_triples(3)).tolist()
     model = IlpModel(cs)
     assert solve_max(model, budget=60).objective == exhaustive_oracle(model).objective
 
