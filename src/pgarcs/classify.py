@@ -142,11 +142,13 @@ def pgl_label(spec: Field, m):
     of m with coefficient i of each degree-d factor times lam^(d-i)."""
     label = canonical_label(spec, m)
     mul = spec.mul_t
+    # lam^0 .. lam^3: no invariant factor has degree above 3
+    powers = [(1, lam, mul[lam][lam], mul[mul[lam][lam]][lam]) for lam in range(1, spec.q)]
     # tuples from lists: from generators, the p = 5 and 7 enumerations
     # peaked about 0.25 MiB higher
     return min(
-        tuple([tuple([mul[c][spec.pow(lam, len(f) - 1 - i)] for i, c in enumerate(f)]) for f in label])
-        for lam in range(1, spec.q)
+        tuple([tuple([mul[c][pw[len(f) - 1 - i]] for i, c in enumerate(f)]) for f in label])
+        for pw in powers
     )
 
 

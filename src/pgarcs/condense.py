@@ -131,10 +131,16 @@ def parse_system(text: str) -> CondensedSystem:
         if key not in header:
             raise ParseError(f"header has no {key}=")
     ell, q, r = int(header["ell"]), int(header["q"]), int(header["r"])
+    if ell < 1:
+        raise ParseError(f"ell={ell} must be at least 1")
+    if not 1 <= r <= q + 1:
+        raise ParseError(f"r={r} out of range 1..{q + 1}")
     if len(lines) < 2 or not lines[1].startswith("w:"):
         raise ParseError("missing weight line")
+    if len(lines) > 2 + ell:
+        raise ParseError(f"more matrix rows than ell={ell}")
     w = tuple(int(v) for v in lines[1][2:].split())
-    A = tuple(tuple(int(v) for v in ln.split()) for ln in lines[2 : 2 + ell])
+    A = tuple(tuple(int(v) for v in ln.split()) for ln in lines[2:])
     if len(w) != ell or len(A) != ell or any(len(row) != ell for row in A):
         raise ParseError("condensed system dimensions do not match header")
     return CondensedSystem(ell=ell, A=A, w=w, r=r, q=q)

@@ -103,7 +103,7 @@ def _codes(vecs, q):
 def _cross(spec: Field, u, v):
     """Cross products of the rows of u and v, shape (N, 3)."""
     add, mul = spec.add_np, spec.mul_np
-    neg = np.array(spec.neg_t, dtype=np.int16)
+    neg = mul[spec.p - 1]  # times -1, whose code is p - 1
     return np.stack(
         [add[mul[u[:, i], v[:, j]], neg[mul[u[:, j], v[:, i]]]] for i, j in ((1, 2), (2, 0), (0, 1))],
         axis=-1,

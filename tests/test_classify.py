@@ -50,7 +50,7 @@ def test_the_class_list_is_frozen(p):
 def test_pgl_label_is_the_least_label_of_a_scalar_multiple(p):
     spec = Field(p)
     for m in gl3_class_representatives(p):
-        multiples = (tuple(tuple(spec.mul(lam, v) for v in row) for row in m) for lam in range(1, p))
+        multiples = (tuple(tuple(spec.mul_t[lam][v] for v in row) for row in m) for lam in range(1, p))
         assert pgl_label(spec, m) == min(canonical_label(spec, x) for x in multiples)
 
 

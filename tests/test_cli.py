@@ -113,6 +113,10 @@ def test_parser_is_built_once():
         ("", "empty condensed system"),
         ("ell=1 q=2\nw: 1\n3\n", "header has no r="),
         ("ell=1 q=2 r=1\n3\n", "missing weight line"),
+        ("ell=0 q=2 r=1\nw:\n", "ell=0 must be at least 1"),
+        ("ell=1 q=2 r=0\nw: 7\n3\n", "r=0 out of range 1..3"),
+        ("ell=1 q=2 r=4\nw: 7\n3\n", "r=4 out of range 1..3"),
+        ("ell=1 q=2 r=1\nw: 7\n3\n4 5 6\n", "more matrix rows than ell=1"),
     ),
 )
 def test_solve_rejects_malformed_systems(tmp_path, capsys, text, message):

@@ -159,7 +159,7 @@ def test_normalization_idempotent_scale_invariant():
         norm = normalize_triple(f, t)
         assert normalize_triple(f, norm) == norm
         for lam in range(1, 9):
-            scaled = tuple(f.mul(lam, c) for c in t)
+            scaled = tuple(f.mul_t[lam][c] for c in t)
             assert normalize_triple(f, scaled) == norm
     with pytest.raises(ValueError):
         normalize_triple(f, (0, 0, 0))

@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from pgarcs.gf import Field, field_for_order, is_irreducible, parse_field_spec
@@ -43,30 +45,30 @@ def oracle_mul(p, e, poly, a, b):
 
 def test_prime_field_add_inv():
     f = Field(5)
-    assert f.add(3, 4) == 2
-    assert f.inv(2) == 3
-    assert f.mul(2, 3) == 1
+    assert f.add_t[3][4] == 2
+    assert f.inv_t[2] == 3
+    assert f.mul_t[2][3] == 1
 
 
 def test_gf25_add_example():
     f = Field(*GF25)
     # 7 = x+2, 23 = 4x+3; the coefficientwise oracle gives 0
     assert oracle_add(5, 2, 7, 23) == 0
-    assert f.add(7, 23) == 0
+    assert f.add_t[7][23] == 0
 
 
 def test_add_identity_everywhere():
     for q in (9, 16, 25):
         f = field_for_order(q)
-        for a in f.elements():
-            assert f.add(a, 0) == a
+        for a in range(f.q):
+            assert f.add_t[a][0] == a
 
 
 def test_gf25_mul_example():
     f = Field(*GF25)
     # x * x = x^2 = 4x+3 mod x^2+x+2, code 23
     assert oracle_mul(5, 2, GF25[2], 5, 5) == 23
-    assert f.mul(5, 5) == 23
+    assert f.mul_t[5][5] == 23
 
 
 def test_gf16_fourth_power():
@@ -74,38 +76,52 @@ def test_gf16_fourth_power():
     x = 2
     acc = 1
     for _ in range(4):
-        acc = f.mul(acc, x)
+        acc = f.mul_t[acc][x]
     assert acc == 9
-    assert f.pow(2, 4) == 9
+    square = f.mul_t[2][2]
+    assert f.mul_t[square][square] == 9
     assert oracle_mul(2, 4, GF16[2], oracle_mul(2, 4, GF16[2], 2, 2), oracle_mul(2, 4, GF16[2], 2, 2)) == 9
 
 
 def test_mul_identity():
     for q in (8, 27):
         f = field_for_order(q)
-        for a in f.elements():
-            assert f.mul(a, 1) == a
+        for a in range(f.q):
+            assert f.mul_t[a][1] == a
 
 
 def test_mul_matches_oracle_exhaustive():
-    for p, e, poly in (GF16, GF25, GF27):
-        f = Field(p, e, poly)
-        for a in f.elements():
-            for b in f.elements():
-                assert f.mul(a, b) == oracle_mul(p, e, poly, a, b)
-                assert f.add(a, b) == oracle_add(p, e, a, b)
+    """Every table of every supported field against the oracles."""
+    for q in SUPPORTED_Q:
+        f = field_for_order(q)
+        p, e, poly = f.p, f.e, f.poly
+        add = [[oracle_add(p, e, a, b) for b in range(q)] for a in range(q)]
+        mul = [[oracle_mul(p, e, poly, a, b) for b in range(q)] for a in range(q)]
+        assert f.add_t == tuple(map(tuple, add))
+        assert f.mul_t == tuple(map(tuple, mul))
+        assert f.neg_t == tuple(row.index(0) for row in add)
+        assert f.inv_t == (None,) + tuple(row.index(1) for row in mul[1:])
+        frob = []
+        for a in range(q):
+            x = 1
+            for _ in range(p):
+                x = mul[x][a]
+            frob.append(x)
+        assert f.frob_t == tuple(frob)
+        for table, oracle in ((f.add_np, add), (f.mul_np, mul)):
+            assert table.dtype == np.int16
+            assert table.tolist() == oracle
 
 
 def test_inverse_exhaustive_gf25():
     f = Field(*GF25)
     for a in range(1, 25):
-        assert f.mul(a, f.inv(a)) == 1
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
+        assert f.mul_t[a][f.inv_t[a]] == 1
+    assert f.inv_t[0] is None  # 0 has no multiplicative inverse
 
 
 def test_inv_identity_gf16():
-    assert Field(*GF16).inv(1) == 1
+    assert Field(*GF16).inv_t[1] == 1
 
 
 def test_is_irreducible():
@@ -140,26 +156,27 @@ def test_field_axioms():
                 (rng.randrange(q), rng.randrange(q), rng.randrange(q))
                 for _ in range(500)
             ]
+        add, mul = f.add_t, f.mul_t
         for a, b, c in triples:
-            assert f.add(a, b) == f.add(b, a)
-            assert f.mul(a, b) == f.mul(b, a)
-            assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-            assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-            assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+            assert add[a][b] == add[b][a]
+            assert mul[a][b] == mul[b][a]
+            assert add[add[a][b]][c] == add[a][add[b][c]]
+            assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+            assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
 
 
 def test_frobenius_additive_all_pairs():
     for q in SUPPORTED_Q:
         f = field_for_order(q)
-        for a in f.elements():
-            for b in f.elements():
-                assert f.frob(f.add(a, b)) == f.add(f.frob(a), f.frob(b))
+        for a in range(q):
+            for b in range(q):
+                assert f.frob(f.add_t[a][b]) == f.add_t[f.frob(a)][f.frob(b)]
 
 
 def test_frobenius_power_is_pth_power():
     f = Field(*GF27)
-    for a in f.elements():
-        assert f.frob(a) == f.pow(a, 3)
+    for a in range(f.q):
+        assert f.frob(a) == f.mul_t[f.mul_t[a][a]][a]
         assert f.frob(a, 3) == a  # full cycle
 
 
@@ -170,10 +187,10 @@ def test_paper_field_specs_construct():
 
 def test_sub_neg():
     f = Field(7)
-    for a in f.elements():
-        for b in f.elements():
-            assert f.add(f.sub(a, b), b) == a
-    assert f.neg(0) == 0
+    for a in range(f.q):
+        for b in range(f.q):
+            assert f.add_t[f.add_t[a][f.neg_t[b]]][b] == a
+    assert f.neg_t[0] == 0
 
 
 def test_spec_string_round_trip():
@@ -191,14 +208,40 @@ def test_spec_string_round_trip():
 def test_out_of_range_codes_rejected():
     f = Field(5)
     with pytest.raises(ValueError):
-        f.add(5, 0)
+        f.check(5)
     with pytest.raises(ValueError):
-        f.mul(0, -1)
+        f.check(-1)
 
 
 def test_decode_encode():
+    """Code a0 + a1*p is the element a0 + a1*x, and x has code p."""
     f = Field(*GF25)
-    assert f.decode(7) == (2, 1)
-    assert f.encode((2, 1)) == 7
-    for a in f.elements():
-        assert f.encode(f.decode(a)) == a
+    assert f.add_t[2][f.mul_t[1][5]] == 7
+    for a in range(f.q):
+        assert f.add_t[a % 5][f.mul_t[a // 5][5]] == a
+
+
+def _poly_mul(p, f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return tuple(out)
+
+
+def _monic(p, d):
+    """Every monic polynomial of degree d over GF(p), low degree first."""
+    return [c + (1,) for c in itertools.product(range(p), repeat=d)]
+
+
+@pytest.mark.parametrize("p, degrees", ((2, (2, 3, 4)), (3, (2, 3, 4)), (5, (2,))))
+def test_field_rejects_exactly_the_products_of_lower_degree_monics(p, degrees):
+    for e in degrees:
+        products = {_poly_mul(p, f, g) for d in range(1, e) for f in _monic(p, d) for g in _monic(p, e - d)}
+        for poly in _monic(p, e):
+            assert is_irreducible(p, poly) == (poly not in products)
+            if poly in products:
+                with pytest.raises(ValueError, match="reducible"):
+                    Field(p, e, poly)
+            else:
+                assert Field(p, e, poly).q == p**e
