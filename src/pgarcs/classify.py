@@ -2,16 +2,18 @@
 automorphism-exclusion sweep.
 
 Conjugacy of invertible 3x3 matrices is decided by the invariant-factor
-label (characteristic and minimal polynomial); two projective elements
-are conjugate in PGL iff some scalar multiple makes the labels match, so
-the projective label is the minimum over scalars.  One representative
-matrix per GL conjugacy class comes from the rational-form families
-(companion matrices of cubics, a scalar block next to a quadratic
-companion block, and scalars), and projecting those labels modulo
-scalars yields exactly one generator per conjugacy class of PGL(3,q).
-For each representative the sweep condenses the plane by the generated
-cyclic group, asks the solver whether any selection reaches the target
-size n, and combines the per-class outcomes into a rigidity verdict.
+label (canonical_label): a non-scalar matrix satisfies at most one monic
+quadratic, fixed by two entries of its square, and the label follows
+from whether it does.  Two projective elements are conjugate in PGL iff
+some scalar multiple makes the labels match, so the projective label is
+the minimum over scalars.  One representative matrix per GL conjugacy
+class comes from the rational-form families (companion matrices of
+cubics, a scalar block next to a quadratic companion block, and
+scalars), and projecting those labels modulo scalars yields exactly one
+generator per conjugacy class of PGL(3,q).  For each representative the
+sweep condenses the plane by the generated cyclic group, asks the solver
+whether any selection reaches the target size n, and combines the
+per-class outcomes into a rigidity verdict.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
 
 from .condense import condense
 from .errors import BudgetExceededError
@@ -49,7 +50,6 @@ __all__ = [
     "gl3_class_representatives",
     "min_poly",
     "pgl_label",
-    "projective_order",
     "run_exclusion",
     "subgroup_class_count",
 ]
@@ -61,78 +61,50 @@ VERDICT_LISTED = "RigidOrListedGroups"
 VERDICT_INCONCLUSIVE = "Inconclusive"
 
 
-def _poly_div_exact(spec: Field, num, den):
-    """num / den over GF(q) for monic den, asserting zero remainder."""
-    num = list(num)
-    dd = len(den) - 1
-    quot = [0] * (len(num) - dd)
-    for i in range(len(quot) - 1, -1, -1):
-        c = num[i + dd]
-        quot[i] = c
-        if c:
-            for j, dc in enumerate(den):
-                num[i + j] = spec.add_t[num[i + j]][spec.neg_t[spec.mul_t[c][dc]]]
-    assert not any(num[:dd]), "polynomial division left a remainder"
-    return tuple(quot)
-
-
 def min_poly(spec: Field, m):
-    """Monic minimal polynomial of a 3x3 matrix (degree 1, 2 or 3)."""
+    """Monic minimal polynomial of a 3x3 matrix (degree 1, 2 or 3).
+
+    The one monic x^2 + b1 x + b0 that can annihilate a non-scalar m has
+    b1 = -m^2[r][s]/m[r][s] and b0 = -(m^2[r][r] + b1 m[r][r]) at the
+    first nonzero off-diagonal m[r][s], or is (x - a)(x - b) for different
+    diagonal entries a, b; if it fails, the answer is char_poly."""
+    add, mul, neg = spec.add_t, spec.mul_t, spec.neg_t
     if _is_scalar(m):
-        return (spec.neg_t[m[0][0]], 1)
+        return (neg[m[0][0]], 1)
     m2 = matmul3(spec, m, m)
-    # is m^2 in the span of I and m?  solve b0*I + b1*m = -m^2
-    b0 = b1 = None
-    eqs = []
-    for r in range(3):
-        for s in range(3):
-            eqs.append((1 if r == s else 0, m[r][s], spec.neg_t[m2[r][s]]))
-    for c0, c1, rhs in eqs:
-        if c1 and not c0:
-            b1 = spec.mul_t[rhs][spec.inv_t[c1]]
+    for r, s in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
+        if m[r][s]:
+            b1 = neg[mul[m2[r][s]][spec.inv_t[m[r][s]]]]
+            b0 = neg[add[m2[r][r]][mul[b1][m[r][r]]]]
             break
-    if b1 is None:
-        # m is diagonal and not scalar, so two diagonal equations with
-        # different entries of m determine b1
-        for (c0, c1, r1), (d0, d1, r2) in combinations(eqs, 2):
-            det = spec.add_t[spec.mul_t[c0][d1]][spec.neg_t[spec.mul_t[c1][d0]]]
-            if det:
-                num = spec.add_t[spec.mul_t[c0][r2]][spec.neg_t[spec.mul_t[d0][r1]]]
-                b1 = spec.mul_t[num][spec.inv_t[det]]
-                break
-    if b1 is not None:
-        for c0, c1, rhs in eqs:
-            if c0:
-                b0 = spec.add_t[rhs][spec.neg_t[spec.mul_t[c1][b1]]]
-                break
-        candidate = (b0, b1, 1)
-        if _matrix_annihilated(spec, m, m2, candidate):
-            return candidate
-    return char_poly(spec, m)
-
-
-def _matrix_annihilated(spec, m, m2, poly):
-    b0, b1, _ = poly
+    else:  # diagonal, not scalar
+        a = m[0][0]
+        b = m[1][1] if m[1][1] != a else m[2][2]
+        b1 = neg[add[a][b]]
+        b0 = mul[a][b]
     for r in range(3):
         for s in range(3):
-            v = spec.add_t[m2[r][s]][spec.mul_t[b1][m[r][s]]]
-            if r == s:
-                v = spec.add_t[v][b0]
-            if v:
-                return False
-    return True
+            if add[add[m2[r][s]][mul[b1][m[r][s]]]][b0 if r == s else 0]:
+                return char_poly(spec, m)
+    return (b0, b1, 1)
 
 
 def canonical_label(spec: Field, m):
-    """Invariant factors of the matrix: equal labels iff GL-conjugate."""
+    """Invariant factors of the matrix: equal labels iff GL-conjugate.
+
+    One quadratic test, min_poly's, decides them.  A scalar a gives
+    (x - a) three times.  A non-scalar m with the quadratic x^2 + b1 x +
+    b0 gives x + c2 - b1 and that quadratic, c2 the x^2 coefficient of
+    char_poly; without one, char_poly is the one factor.
+    """
     if det3(spec, m) == 0:
         raise ValueError("matrix is singular")
-    cp = char_poly(spec, m)
     mp = min_poly(spec, m)
     if len(mp) == 4:
-        return (cp,)
+        return (mp,)
     if len(mp) == 3:
-        return (_poly_div_exact(spec, cp, mp), mp)
+        c2 = char_poly(spec, m)[2]
+        return ((spec.add_t[c2][spec.neg_t[mp[1]]], 1), mp)
     return (mp, mp, mp)
 
 
@@ -160,8 +132,6 @@ def gl3_class_representatives(p: int):
     block a next to the companion of (x-a)(x-b) for nonzero a, b, and the
     scalars.
     """
-    if not is_prime(p):
-        raise ValueError(f"p={p} must be prime")
     if p > 31:
         raise ValueError(f"p={p} out of supported range (<= 31)")
     spec = Field(p)
@@ -180,11 +150,6 @@ def gl3_class_representatives(p: int):
         reps.append(((a, 0, 0), (0, a, 0), (0, 0, a)))
     assert len(reps) == p**3 - p
     return reps
-
-
-def projective_order(spec: Field, m) -> int:
-    """Least k >= 1 with m^k scalar."""
-    return len(scalar_powers(spec, m))
 
 
 @dataclass(frozen=True)
@@ -228,15 +193,11 @@ def enumerate_cyclic_classes(p: int):
     spec = Field(p)
     by_label = {}
     for m in gl3_class_representatives(p):
-        lab = pgl_label(spec, m)
-        if lab not in by_label:
-            by_label[lab] = m
+        by_label.setdefault(pgl_label(spec, m), m)
     items = []
     for lab, m in by_label.items():
         powers = scalar_powers(spec, m)
-        order = len(powers)
-        sig = _subgroup_signature(spec, powers)
-        items.append((order, sig, lab, m))
+        items.append((len(powers), _subgroup_signature(spec, powers), lab, m))
     items.sort(key=lambda t: t[:3])
     return [
         ConjClassRep(

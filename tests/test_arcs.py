@@ -138,6 +138,17 @@ def test_min_distance_corpus_39():
     assert min_distance(pa.spec, to_generator_matrix(pa.arc)) == 36
 
 
+def test_min_distance_finds_the_one_light_codeword_in_every_position(plane_for):
+    # a line plus one point off it: only that line's message gives a
+    # codeword of weight 1, and over the 91 lines of PG(2,9) it takes
+    # every place in the enumeration of messages
+    plane = plane_for(9)
+    for line in plane.incidence.tolist():
+        off = min(set(range(len(plane.incidence))) - set(line))
+        arc = Arc(plane=plane, points=tuple(sorted(line + [off])))
+        assert min_distance(plane.spec, to_generator_matrix(arc)) == 1
+
+
 def test_min_distance_rank_check(plane_for):
     plane = plane_for(3)
     arc = Arc(plane=plane, points=tuple(plane.incidence[0].tolist()))

@@ -14,7 +14,7 @@ from pgarcs.classify import (
     run_exclusion,
 )
 from pgarcs.gf import Field
-from pgarcs.group import closure, compose, inverse, make_element
+from pgarcs.group import char_poly, closure, compose, inverse, make_element
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
@@ -89,6 +89,37 @@ def test_min_poly_is_the_lowest_degree_annihilator(p):
     assert len(mats) == {2: 168, 3: 11232}[p]
     got = [min_poly(spec, tuple(map(tuple, m.tolist()))) for m in mats]
     assert got == lowest_annihilators(p, mats)
+
+
+def poly_mul(p, f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return tuple(out)
+
+
+def divides(p, f, g):
+    """Whether monic f divides g over GF(p), by long division."""
+    g = list(g)
+    for top in range(len(g) - 1, len(f) - 2, -1):
+        c = g[top]
+        for i, a in enumerate(f):
+            g[top - len(f) + 1 + i] = (g[top - len(f) + 1 + i] - c * a) % p
+    return not any(g)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_the_labels_are_invariant_factors(p):
+    # monic, each dividing the next, with the characteristic polynomial
+    # as their product
+    spec = Field(p)
+    for m in invertible_matrices(p):
+        m = tuple(map(tuple, m.tolist()))
+        label = canonical_label(spec, m)
+        assert all(f[-1] == 1 for f in label)
+        assert all(divides(p, f, g) for f, g in zip(label, label[1:]))
+        assert functools.reduce(functools.partial(poly_mul, p), label) == char_poly(spec, m)
 
 
 def test_a_diagonal_matrix_is_told_apart_from_a_jordan_block():

@@ -4,6 +4,7 @@ import pytest
 
 from pgarcs import cli
 from pgarcs.arcs import corpus_text, format_arc_file, load_corpus_arc
+from pgarcs.classify import enumerate_cyclic_classes, format_class_list
 from pgarcs.group import format_group_file, transpose_element
 
 
@@ -163,3 +164,22 @@ def test_verify_rejects_a_malformed_arc_file(tmp_path, capsys):
     rc, out, err = run(capsys, ["verify", arcfile])
     assert (rc, out) == (cli.EXIT_ERROR, "")
     assert err.startswith("error: line 4: malformed point tuple")
+
+
+def test_classify_writes_the_class_list_and_its_summary(tmp_path, capsys):
+    path = tmp_path / "classes.txt"
+    rc, out, err = run(capsys, ["classify", "--q", "3", "--out", str(path)])
+    assert (rc, err) == (cli.EXIT_OK, "")
+    listed = format_class_list(enumerate_cyclic_classes(3))
+    assert path.read_text() == listed
+    summary = json.loads(out)
+    assert (summary["classes_total"], summary["classes_nontrivial"], summary["cyclic_subgroup_classes"]) == (12, 11, 8)
+    # without --out the list goes to stdout and the summary to stderr
+    assert run(capsys, ["classify", "--q", "3"]) == (cli.EXIT_OK, listed, out)
+
+
+@pytest.mark.parametrize("q", ("4", "17"))
+def test_classify_rejects_a_non_prime_or_too_large_order(capsys, q):
+    rc, out, err = run(capsys, ["classify", "--q", q])
+    assert (rc, out) == (cli.EXIT_ERROR, "")
+    assert err.startswith("error: ")

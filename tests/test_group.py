@@ -245,6 +245,12 @@ def test_group_file_round_trip():
     text = format_group_file(gens)
     assert parse_group_file(text, f) == gens
     assert parse_group_file("# comment\n" + text, f) == gens
+    # a semilinear generator of GF(4) carries its Frobenius power
+    f4 = field_for_order(4)
+    semilinear = [make_element(f4, ((0, 1, 0), (0, 0, 1), (2, 0, 0)), frob=1)]
+    text = format_group_file(semilinear)
+    assert text == "0 1 0 0 0 1 2 0 0 frob=1\n"
+    assert parse_group_file(text, f4) == semilinear
 
 
 def test_group_file_errors():
@@ -255,6 +261,8 @@ def test_group_file_errors():
         parse_group_file("0 0 0 0 0 0 0 0 0\n", f)  # singular
     with pytest.raises(ParseError):
         parse_group_file("1 0 0 0 1 0 0 0 x\n", f)
+    with pytest.raises(ParseError):
+        parse_group_file("1 0 0 0 1 0 0 0 1 frob=x\n", f)
 
 
 def test_singular_matrix_rejected():
