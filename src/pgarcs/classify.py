@@ -13,7 +13,10 @@ scalars), and projecting those labels modulo scalars yields exactly one
 generator per conjugacy class of PGL(3,q).  For each representative the
 sweep condenses the plane by the generated cyclic group, asks the solver
 whether any selection reaches the target size n, and combines the
-per-class outcomes into a rigidity verdict.
+per-class outcomes into a rigidity verdict.  An arc invariant under <g>
+is invariant under every subgroup, so a class is recorded as excluded,
+with the solved class in `implied_by`, when <g> or one of its
+prime-order subgroups is conjugate to an excluded one.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 
+from . import __version__
 from .condense import condense
 from .errors import BudgetExceededError
 from .geometry import build_plane
@@ -39,7 +43,7 @@ from .group import (
     orbits,
     scalar_powers,
 )
-from .solver import FEASIBLE_FOUND, PROVED_INFEASIBLE, IlpModel, solve_feasible
+from .solver import FEASIBLE_FOUND, PROVED_INFEASIBLE, TIMEOUT, IlpModel, solve_feasible
 
 __all__ = [
     "ConjClassRep",
@@ -243,22 +247,47 @@ class ExclusionReport:
         return asdict(self)  # copies the class records, so callers may edit them
 
 
+def _record(rep, budget, status, implied_by=None):
+    """A class record with no solve behind it; `_solve_class` fills in the rest."""
+    return {
+        "id": rep.class_id,
+        "order": rep.projective_order,
+        "ell": None,
+        "status": status,
+        "objective": None,
+        "nodes": 0,
+        "symmetry": 1,
+        "time": 0.0,
+        "implied_by": implied_by,
+        "budget": budget,
+    }
+
+
 def _solve_class(plane, rep, r, n, budget):
     t0 = time.monotonic()
     group = closure(plane.spec, [rep.generator])
     od = orbits(plane, group)
     cs = condense(plane, od, r)
     sol = solve_feasible(IlpModel(cs), target=n, budget=budget)
-    return {
-        "id": rep.class_id,
-        "order": rep.projective_order,
-        "ell": cs.ell,
-        "status": sol.status,
-        "objective": sol.objective,
-        "nodes": sol.nodes_explored,
-        "symmetry": sol.symmetry,
-        "time": round(time.monotonic() - t0, 3),
-    }
+    rec = _record(rep, budget, sol.status)
+    rec.update(ell=cs.ell, objective=sol.objective, nodes=sol.nodes_explored, symmetry=sol.symmetry)
+    rec["time"] = round(time.monotonic() - t0, 3)
+    return rec
+
+
+def _excluded_subgroup(spec, rep, by_label, solved_source):
+    """The solved class behind an excluded conjugate of <g> or of one of
+    its prime-order subgroups <g^(m/d)>, m the order of g; else None."""
+    if rep.signature in solved_source:
+        return solved_source[rep.signature]
+    m = rep.projective_order
+    powers = scalar_powers(spec, rep.generator.mat)
+    for d in range(2, m):
+        if m % d == 0 and is_prime(d):
+            sig = by_label[pgl_label(spec, powers[m // d - 1])].signature
+            if sig in solved_source:
+                return solved_source[sig]
+    return None
 
 
 def _load_checkpoint(path, key):
@@ -273,7 +302,7 @@ def _load_checkpoint(path, key):
 def _save_checkpoint(path, key, records):
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump({"key": key, "classes": {str(k): v for k, v in records.items()}}, fh)
+        json.dump({"key": key, "version": __version__, "classes": {str(k): v for k, v in records.items()}}, fh)
     os.replace(tmp, path)
 
 
@@ -295,10 +324,17 @@ def run_exclusion(
     skip) leaves it undecided.  All classes excluded gives
     RigidOrNonexistent; any realized or undecided class downgrades to
     RigidOrListedGroups; no exclusions at all is Inconclusive.  Timeouts
-    are recorded, never raised.  With a checkpoint path, per-class
-    results are flushed after every class and reused on resume.  Classes
-    are solved one at a time, so `threads` must be 1; the keyword is kept
-    because callers, the benchmark among them, pass threads=1.
+    are recorded, never raised.  Classes go in id order, so by projective
+    order.  A class is excluded without a solve, its record naming the
+    solved class in `implied_by` (None on solved records), when an
+    excluded class generates a conjugate of <g> or of <g^(m/d)>, d a prime
+    dividing the order m; realized, timed-out and skipped classes imply
+    nothing.  With a checkpoint path, records, each with its budget, are
+    flushed after every class with the tool version and reused on resume,
+    except a Timeout under a smaller budget.  `progress` gets every new
+    record.  Classes are solved one at a time, so `threads` must be 1;
+    the keyword is kept because callers, the benchmark among them, pass
+    threads=1.
     """
     if threads != 1:
         raise ValueError(f"threads={threads}: the sweep solves one class at a time")
@@ -309,30 +345,32 @@ def run_exclusion(
     records = _load_checkpoint(checkpoint, key)
     for rec in records.values():
         rec.setdefault("symmetry", 1)  # written before the search used any
+        rec.setdefault("implied_by", None)  # written before the sweep implied any
+        rec.setdefault("budget", None)  # written before records held it; retried on Timeout
+    by_label = {rep.label: rep for rep in classes}
+    solved_source = {}  # signature of an excluded subgroup -> the solved class behind it
+    ordered = []
     for rep in classes:
-        if rep.is_trivial or rep.class_id in skip or rep.class_id in records:
+        if rep.is_trivial:
             continue
-        rec = _solve_class(plane, rep, r, n, budget_per_class)
-        if progress:
-            progress(rec)
-        records[rec["id"]] = rec
-        if checkpoint:
-            _save_checkpoint(checkpoint, key, records)
+        rec = records.get(rep.class_id)
+        if rep.class_id in skip:
+            rec = rec or _record(rep, budget_per_class, "Skipped")
+        elif rec is None or (rec["status"] == TIMEOUT and (rec["budget"] or 0) < budget_per_class):
+            source = _excluded_subgroup(plane.spec, rep, by_label, solved_source)
+            if source is None:
+                rec = _solve_class(plane, rep, r, n, budget_per_class)
+            else:
+                rec = _record(rep, budget_per_class, PROVED_INFEASIBLE, implied_by=source)
+            if progress:
+                progress(rec)
+            records[rep.class_id] = rec
+            if checkpoint:
+                _save_checkpoint(checkpoint, key, records)
+        if rec["status"] == PROVED_INFEASIBLE:
+            solved_source.setdefault(rep.signature, rep.class_id if rec["implied_by"] is None else rec["implied_by"])
+        ordered.append(rec)
 
-    for rep in classes:
-        if not rep.is_trivial and rep.class_id in skip and rep.class_id not in records:
-            records[rep.class_id] = {
-                "id": rep.class_id,
-                "order": rep.projective_order,
-                "ell": None,
-                "status": "Skipped",
-                "objective": None,
-                "nodes": 0,
-                "symmetry": 1,
-                "time": 0.0,
-            }
-
-    ordered = [records[rep.class_id] for rep in classes if not rep.is_trivial]
     excluded = tuple(rec["id"] for rec in ordered if rec["status"] == PROVED_INFEASIBLE)
     realized = tuple(rec["id"] for rec in ordered if rec["status"] == FEASIBLE_FOUND)
     undecided = tuple(rec["id"] for rec in ordered if rec["status"] not in (PROVED_INFEASIBLE, FEASIBLE_FOUND))

@@ -3,12 +3,14 @@
 Subcommands: verify, condense, solve, exclude, classify, oracle, code,
 tables.  Reports are JSON (or a key/value block for solve) and carry the
 tool version, the field spec, and sha256 digests of the input files, so
-long runs stay attributable; exclude streams one line per solved class
-to stderr.  Exit codes: 0 success / verdict reached, 2 timeout or
-inconclusive, 1 error.  With --deterministic all timing fields are
-omitted, making reports byte-identical across runs of a search that ends
-within its budget; a search cut by its budget reports a nodes= count
-bounded by the wall clock.
+long runs stay attributable; exclude streams one line per solved or
+implied class to stderr.  Exit codes: 0 success, 2 timeout or
+inconclusive, 1 error; exclude exits 2 when any class is undecided
+(Timeout or Skipped), so 0 means every class is excluded or realized.
+With --deterministic all timing fields are omitted, making reports
+byte-identical across runs of a search that ends within its budget; a
+search cut by its budget reports a nodes= count bounded by the wall
+clock.
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ def cmd_exclude(args):
             rec.pop("time", None)
     payload["meta"] = _meta(field_for_order(args.q))
     _emit(payload, args.out)
-    return EXIT_OK if report.verdict != "Inconclusive" else EXIT_INCONCLUSIVE
+    return EXIT_INCONCLUSIVE if report.undecided or report.verdict == "Inconclusive" else EXIT_OK
 
 
 def cmd_classify(args):

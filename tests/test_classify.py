@@ -1,10 +1,12 @@
 import functools
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from pgarcs import __version__
 from pgarcs.classify import (
     canonical_label,
     enumerate_cyclic_classes,
@@ -13,8 +15,11 @@ from pgarcs.classify import (
     pgl_label,
     run_exclusion,
 )
-from pgarcs.gf import Field
-from pgarcs.group import char_poly, closure, compose, inverse, make_element
+from pgarcs.condense import condense
+from pgarcs.geometry import build_plane
+from pgarcs.gf import Field, is_prime
+from pgarcs.group import char_poly, closure, compose, inverse, make_element, orbits, scalar_powers
+from pgarcs.solver import IlpModel, solve_feasible
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
@@ -164,3 +169,56 @@ def test_equal_signatures_exactly_for_conjugate_cyclic_subgroups(p):
             compose(spec, compose(spec, a, g.generator), a_inv) in subgroups[j] for a, a_inv in pgl(p)
         )
         assert (g.signature == h.signature) == conjugate, (i, j)
+
+
+@pytest.mark.parametrize(("p", "r", "n"), ((3, 2, 5), (5, 2, 6), (5, 2, 7)))
+def test_every_implied_class_is_excluded_by_its_own_solve(p, r, n):
+    # the source is a solved exclusion of <g^k> for some k | m, up to
+    # conjugacy, and solving <g> itself proves the implied exclusion
+    spec = Field(p)
+    plane = build_plane(spec)
+    classes = {c.class_id: c for c in enumerate_cyclic_classes(p)}
+    by_label = {c.label: c for c in classes.values()}
+    records = {rec["id"]: rec for rec in run_exclusion(p, r, n, budget_per_class=10).classes}
+    implied = [rec for rec in records.values() if rec["implied_by"] is not None]
+    assert implied
+    for rec in implied:
+        source = records[rec["implied_by"]]
+        assert (source["status"], source["implied_by"]) == ("ProvedInfeasible", None)
+        g = classes[rec["id"]].generator
+        powers = scalar_powers(spec, g.mat)
+        m = len(powers)
+        subgroups = {by_label[pgl_label(spec, powers[k - 1])].signature for k in range(1, m) if m % k == 0}
+        assert classes[source["id"]].signature in subgroups
+        assert (rec["nodes"], rec["ell"], rec["objective"]) == (0, None, None)
+        cs = condense(plane, orbits(plane, closure(spec, [g])), r)
+        assert solve_feasible(IlpModel(cs), target=n, budget=10).status == "ProvedInfeasible"
+
+
+@pytest.mark.parametrize(("p", "r", "n", "solved"), ((3, 2, 5, 4), (5, 2, 7, 5), (7, 3, 16, 7)))
+def test_an_excluded_sweep_solves_one_class_per_prime_order_subgroup(p, r, n, solved):
+    rep = run_exclusion(p, r, n, budget_per_class=10)
+    assert rep.verdict == "RigidOrNonexistent"
+    assert len(rep.classes) == p * p + p - 1 + (2 if (p - 1) % 3 == 0 else 0)
+    orders = [c["order"] for c in rep.classes if c["implied_by"] is None]
+    prime_order = {c.signature for c in enumerate_cyclic_classes(p) if is_prime(c.projective_order)}
+    assert len(orders) == len(prime_order) == solved
+    assert all(is_prime(m) for m in orders)
+
+
+def test_a_checkpointed_involution_implies_every_even_order_class(tmp_path):
+    classes = [c for c in enumerate_cyclic_classes(5) if not c.is_trivial]
+    (involution,) = [c.class_id for c in classes if c.projective_order == 2]
+    rec = {"id": involution, "order": 2, "ell": 19, "status": "ProvedInfeasible", "objective": 6, "nodes": 3, "time": 0.1}
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps({"key": "q=5 r=2 n=7", "classes": {str(involution): rec}}))
+    rep = run_exclusion(5, 2, 7, budget_per_class=10, checkpoint=str(path))
+    implied_by = {c["id"]: c["implied_by"] for c in rep.classes}
+    even = [c.class_id for c in classes if c.projective_order % 2 == 0 and c.class_id != involution]
+    assert len(even) == 15
+    assert {implied_by[i] for i in even} == {involution}
+    assert implied_by[involution] is None
+    saved = json.loads(path.read_text())
+    assert (saved["key"], saved["version"]) == ("q=5 r=2 n=7", __version__)
+    assert saved["classes"][str(involution)] == {**rec, "symmetry": 1, "implied_by": None, "budget": None}
+    assert all(c["budget"] == 10 for i, c in saved["classes"].items() if i != str(involution))

@@ -84,6 +84,22 @@ def test_exclude_resume_reads_records_written_without_symmetry(tmp_path, capsys)
     assert len(err.splitlines()) == 10  # class 1 is not solved again
 
 
+def test_exclude_resume_retries_a_timeout_only_under_a_larger_budget(tmp_path, capsys):
+    path = tmp_path / "checkpoint.json"
+    timeout = {"ell": 9, "status": "Timeout", "objective": 4, "nodes": 7, "symmetry": 1, "time": 1.0, "implied_by": None}
+    records = {"1": {**timeout, "id": 1, "order": 2, "budget": 1.0}, "2": {**timeout, "id": 2, "order": 3, "budget": 10.0}}
+    path.write_text(json.dumps({"key": "q=3 r=2 n=5", "classes": records}))
+    rc, out, err = run(capsys, EXCLUDE_Q3 + ["--deterministic", "--resume", str(path)])
+    report = json.loads(out)
+    status = {c["id"]: c["status"] for c in report["classes"]}
+    assert (status[1], status[2]) == ("ProvedInfeasible", "Timeout")
+    assert (rc, report["undecided"], report["verdict"]) == (cli.EXIT_INCONCLUSIVE, [2], "RigidOrListedGroups")
+    assert len(err.splitlines()) == 10  # class 2 is kept, class 1 solved again
+    saved = json.loads(path.read_text())["classes"]
+    assert saved["2"] == records["2"]
+    assert {c["budget"] for c in saved.values()} == {10.0}
+
+
 EXCLUDE_Q5_N6 = ["exclude", "--q", "5", "--r", "2", "--n", "6", "--budget-per-class", "2", "--deterministic"]
 
 
@@ -102,6 +118,7 @@ def test_exclude_lists_found_witnesses_as_realized(capsys):
     report = json.loads(out)
     assert (report["realized"], report["undecided"]) == ([1, 2, 5, 7, 8], [3])
     assert 3 not in report["excluded"]
+    assert rc == cli.EXIT_INCONCLUSIVE
 
 
 def test_parser_is_built_once():
