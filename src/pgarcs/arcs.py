@@ -7,6 +7,10 @@ many lines attain it.  Taking the n points as columns of a 3 x n matrix
 over GF(q) generates a projective linear code of length n, dimension 3
 and minimum distance n - r; min_distance recomputes the distance by
 exhaustive codeword enumeration so the two views can be cross-checked.
+
+`CORPUS` lists the bundled reference arcs.  It is read, on import, from
+the improved-bounds table ``data/bounds_improved.tsv``, whose rows name
+each arc file with its q, r, new bound n and the previous bound.
 """
 
 from __future__ import annotations
@@ -19,15 +23,14 @@ import numpy as np
 
 from .errors import ParseError
 from .geometry import Plane, _normalized_triples, build_plane
-from .gf import Field, is_prime
+from .gf import Field, field_from_header, header_int, key_values, text_lines
 from .group import (
     Group,
     GroupElement,
-    _null_space,
     closure,
     format_group_file,
-    parse_group_file,
     point_permutation,
+    read_generators,
     transpose_element,
 )
 
@@ -38,6 +41,7 @@ __all__ = [
     "ParsedArc",
     "admits_group",
     "admitted_group",
+    "bundled_rows",
     "corpus_text",
     "format_arc_file",
     "load_corpus_arc",
@@ -50,15 +54,19 @@ __all__ = [
 
 _TUPLE_RE = re.compile(r"^\((\d+),(\d+),(\d+)\)$")
 
-# bundled reference arcs: file name -> (q, r, n, group kind)
+_DATA = resources.files("pgarcs") / "data"
+
+
+def bundled_rows(name: str):
+    """The tab-separated fields of each row of a bundled table."""
+    return [line.split("\t") for _, line in text_lines((_DATA / name).read_text())]
+
+
+# bundled reference arcs, one per row of the improved-bounds table:
+# file name -> (q, r, n, previous lower bound)
 CORPUS = {
-    "q16_r10_n144.arc": (16, 10, 144, "s3"),
-    "q25_r3_n39.arc": (25, 3, 39, "cyclic"),
-    "q25_r18_n418.arc": (25, 18, 418, "cyclic"),
-    "q27_r9_n201.arc": (27, 9, 201, "cyclic"),
-    "q29_r14_n364.arc": (29, 14, 364, "cyclic"),
-    "q29_r25_n697.arc": (29, 25, 697, "s3"),
-    "q31_r25_n734.arc": (31, 25, 734, "cyclic"),
+    arcfile: (int(q), int(r), int(new), int(old))
+    for q, r, old, new, arcfile in bundled_rows("bounds_improved.tsv")
 }
 
 
@@ -151,10 +159,10 @@ def min_distance(spec: Field, gen) -> int:
     generated by the 3 x n matrix, by exhaustive message enumeration.
 
     Scalar multiples share a weight, so one message per projective class
-    covers all q^3 - 1 nonzero messages; they are taken 64 at a time.
+    covers all q^3 - 1 nonzero messages; they are taken 64 at a time.  A
+    zero-weight message is orthogonal to every column, which happens
+    exactly when the matrix has rank below 3.
     """
-    if _null_space(spec, zip(*gen), 3):  # some message is orthogonal to every column
-        raise ValueError("generator matrix must have rank 3")
     G = np.array(gen, dtype=np.int16)
     M = np.array(_normalized_triples(spec.q), dtype=np.int16)
     add, mul = spec.add_np, spec.mul_np
@@ -163,6 +171,8 @@ def min_distance(spec: Field, gen) -> int:
         B = M[i : i + 64]
         words = add[add[mul[B[:, 0]][:, G[0]], mul[B[:, 1]][:, G[1]]], mul[B[:, 2]][:, G[2]]]
         d = min(d, int((words != 0).sum(axis=1).min()))
+    if d == 0:
+        raise ValueError("generator matrix must have rank 3")
     return d
 
 
@@ -190,63 +200,29 @@ def parse_arc_file(text: str, plane: Plane | None = None) -> ParsedArc:
     loader checks that it stabilizes the arc under the column action and
     falls back to the transposed action, recording which one succeeded.
     """
-    header = {}
-    group_lines = []
-    point_tokens = []  # (lineno, token)
-    mode = "header"
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    header, at = {}, {}  # key -> value, key -> its line
+    block = []  # the group block's (line number, text) pairs
+    lines = text_lines(text)
+    for lineno, line in lines:
+        if line == "points:":
+            break
+        if line == "group-begin":
+            for item in lines:
+                if item[1] == "group-end":
+                    break
+                block.append(item)
+            else:
+                raise ParseError("unterminated group block (missing group-end)")
             continue
-        if mode == "header":
-            if line == "group-begin":
-                mode = "group"
-                continue
-            if line == "points:":
-                mode = "points"
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected header assignment, got {line!r}", lineno)
-            key, val = line.split("=", 1)
-            header[key.strip()] = val.strip()
-        elif mode == "group":
-            if line == "group-end":
-                mode = "header"
-                continue
-            group_lines.append(raw)
-        else:
-            point_tokens.extend((lineno, tok) for tok in line.split())
+        kv = key_values(line, lineno)
+        header.update(kv)
+        at.update(dict.fromkeys(kv, lineno))
+    point_tokens = [(lineno, tok) for lineno, line in lines for tok in line.split()]
 
-    if mode == "group":
-        raise ParseError("unterminated group block (missing group-end)")
     if "r" not in header:
         raise ParseError("missing r= header")
-    try:
-        r = int(header["r"])
-    except ValueError:
-        raise ParseError(f"bad r value {header['r']!r}")
-
-    if "p" in header:
-        p = int(header["p"])
-        e = int(header.get("e", "1"))
-    elif "q" in header:
-        q = int(header["q"])
-        if not is_prime(q):
-            raise ParseError("non-prime q needs explicit p=, e= and poly= headers")
-        p, e = q, 1
-    else:
-        raise ParseError("missing field headers (p=/e= or prime q=)")
-    poly = None
-    if e > 1:
-        if "poly" not in header:
-            raise ParseError("extension field needs a poly= header")
-        poly = [int(c) for c in header["poly"].split(",")]
-    try:
-        spec = Field(p, e, poly)
-    except ValueError as exc:
-        raise ParseError(str(exc))
-    if "q" in header and int(header["q"]) != spec.q:
-        raise ParseError(f"q={header['q']} does not match p^e={spec.q}")
+    r = header_int(header, "r", at)
+    spec = field_from_header(header, at)
 
     if plane is None:
         plane = build_plane(spec)
@@ -275,9 +251,8 @@ def parse_arc_file(text: str, plane: Plane | None = None) -> ParsedArc:
     arc = Arc(plane=plane, points=tuple(sorted(indices)), r_claimed=r)
 
     group = convention = admitted = None
-    if group_lines:
-        gens = parse_group_file("\n".join(group_lines), spec)
-        group, convention, admitted = admitted_group(arc, gens)
+    if block:
+        group, convention, admitted = admitted_group(arc, read_generators(block, spec))
     return ParsedArc(spec=spec, arc=arc, group=group, convention=convention, admitted=admitted)
 
 
@@ -297,7 +272,7 @@ def corpus_text(name: str) -> str:
     """Raw text of a bundled reference arc file."""
     if name not in CORPUS:
         raise KeyError(f"unknown corpus arc {name!r}; known: {sorted(CORPUS)}")
-    return (resources.files("pgarcs") / "data" / name).read_text()
+    return (_DATA / name).read_text()
 
 
 def load_corpus_arc(name: str, plane: Plane | None = None) -> ParsedArc:

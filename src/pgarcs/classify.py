@@ -21,6 +21,7 @@ prime-order subgroups is conjugate to an excluded one.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -38,6 +39,7 @@ from .group import (
     char_poly,
     closure,
     det3,
+    format_group_file,
     make_element,
     matmul3,
     orbits,
@@ -180,13 +182,15 @@ def _subgroup_signature(spec, powers):
     return tuple(sorted(sig))
 
 
+@functools.cache
 def enumerate_cyclic_classes(p: int):
     """A transversal of the conjugacy classes of PGL(3,p), prime p.
 
     One representative per element class, the generators of the cyclic
     candidates for the exclusion sweep; the trivial class is flagged by
     projective_order 1 and sorts first.  The count is q^2+q+2 when 3
-    divides q-1 and q^2+q otherwise, the trivial class included.
+    divides q-1 and q^2+q otherwise, the trivial class included.  The
+    tuple is built once per p and shared by every caller.
     """
     if not is_prime(p):
         raise ValueError(f"p={p} must be prime")
@@ -203,7 +207,7 @@ def enumerate_cyclic_classes(p: int):
         powers = scalar_powers(spec, m)
         items.append((len(powers), _subgroup_signature(spec, powers), lab, m))
     items.sort(key=lambda t: t[:3])
-    return [
+    return tuple(
         ConjClassRep(
             class_id=i,
             generator=make_element(spec, m),
@@ -212,7 +216,7 @@ def enumerate_cyclic_classes(p: int):
             signature=sig,
         )
         for i, (order, sig, lab, m) in enumerate(items)
-    ]
+    )
 
 
 def subgroup_class_count(classes) -> int:
@@ -222,12 +226,10 @@ def subgroup_class_count(classes) -> int:
 
 
 def format_class_list(classes) -> str:
-    """One line per class: id, projective order, nine generator codes."""
-    out = []
-    for rep in classes:
-        codes = " ".join(str(v) for row in rep.generator.mat for v in row)
-        out.append(f"{rep.class_id} {rep.projective_order} {codes}")
-    return "\n".join(out) + "\n"
+    """One line per class: id, projective order, and the generator's row
+    of the group file format."""
+    rows = format_group_file([rep.generator for rep in classes]).splitlines()
+    return "\n".join(f"{rep.class_id} {rep.projective_order} {row}" for rep, row in zip(classes, rows)) + "\n"
 
 
 @dataclass

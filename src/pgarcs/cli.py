@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Subcommands: verify, condense, solve, exclude, classify, oracle, code,
-tables.  Reports are JSON (or a key/value block for solve) and carry the
-tool version, the field spec, and sha256 digests of the input files, so
-long runs stay attributable; exclude streams one line per solved or
-implied class to stderr.  Exit codes: 0 success, 2 timeout or
+Subcommands: verify, condense, solve, exclude, classify, code, tables.
+Reports are JSON (or a key/value block for solve) and carry the tool
+version, the field spec, and sha256 digests of the input files, so long
+runs stay attributable.  exclude streams one line per class to stderr:
+``class <id> order <m> ell <ell>: <status> nodes=<k> time=<s>`` for a
+solved class (no time= with --deterministic), and ``class <id> order
+<m>: ProvedInfeasible implied by class <src>`` for a class excluded by
+the solve of class src.  Exit codes: 0 success, 2 timeout or
 inconclusive, 1 error; exclude exits 2 when any class is undecided
 (Timeout or Skipped), so 0 means every class is excluded or realized.
 With --deterministic all timing fields are omitted, making reports
@@ -21,11 +24,12 @@ import hashlib
 import json
 import sys
 from collections import Counter
-from importlib import resources
 
 from . import __version__
 from .arcs import (
+    CORPUS,
     admitted_group,
+    bundled_rows,
     load_corpus_arc,
     min_distance,
     parse_arc_file,
@@ -43,7 +47,7 @@ from .errors import BudgetExceededError, ParseError
 from .geometry import build_plane
 from .gf import field_for_order, parse_field_spec
 from .group import closure, orbits, parse_group_file
-from .solver import TIMEOUT, IlpModel, exhaustive_oracle, solve_feasible, solve_max
+from .solver import TIMEOUT, IlpModel, solve_feasible, solve_max
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -140,7 +144,7 @@ def cmd_solve(args):
     if args.target is not None:
         sol = solve_feasible(model, target=args.target, budget=args.budget)
     else:
-        sol = solve_max(model, budget=args.budget, deterministic=args.deterministic)
+        sol = solve_max(model, budget=args.budget)
     lines = [
         f"version={__version__}",
         f"input_sha256={_digest(args.system)}",
@@ -162,9 +166,12 @@ def cmd_exclude(args):
     skip = [int(v) for v in args.skip.split(",") if v] if args.skip else []
 
     def progress(rec):
-        line = f"class {rec['id']} order {rec['order']} ell {rec['ell']}: {rec['status']} nodes={rec['nodes']}"
-        if not args.deterministic:
-            line += f" time={rec['time']}"
+        if rec["implied_by"] is not None:
+            line = f"class {rec['id']} order {rec['order']}: {rec['status']} implied by class {rec['implied_by']}"
+        else:
+            line = f"class {rec['id']} order {rec['order']} ell {rec['ell']}: {rec['status']} nodes={rec['nodes']}"
+            if not args.deterministic:
+                line += f" time={rec['time']}"
         sys.stderr.write(line + "\n")
 
     report = run_exclusion(
@@ -198,23 +205,6 @@ def cmd_classify(args):
     return EXIT_OK
 
 
-def cmd_oracle(args):
-    spec = _field_from_args(args)
-    plane = build_plane(spec)
-    od = orbits(plane, closure(spec, []))
-    model = IlpModel(condense(plane, od, args.r))
-    sol = exhaustive_oracle(model)
-    payload = {
-        "q": spec.q,
-        "r": args.r,
-        "objective": sol.objective,
-        "x": "".join(str(v) for v in sol.x),
-        "meta": _meta(spec),
-    }
-    _emit(payload, args.out)
-    return EXIT_OK
-
-
 def cmd_code(args):
     pa = parse_arc_file(_read(args.arcfile))
     gen = to_generator_matrix(pa.arc)
@@ -232,40 +222,18 @@ def cmd_code(args):
     return EXIT_OK
 
 
-def _tsv_rows(path):
-    """The tab-separated fields of each line that is not blank or a comment."""
-    for line in path.read_text().splitlines():
-        if line.strip() and not line.startswith("#"):
-            yield line.split("\t")
-
-
 def cmd_tables(args):
-    data = resources.files("pgarcs") / "data"
     rows = []
     all_ok = True
-    for q, r, old, new, arcfile in _tsv_rows(data / "bounds_improved.tsv"):
+    for arcfile, (q, r, new, old) in CORPUS.items():
         pa = load_corpus_arc(arcfile)
         rep = verify_arc(pa.arc, pa.group)
-        ok = (
-            rep.n == int(new)
-            and rep.max_multiplicity == int(r)
-            and rep.is_arc_for_claimed_r
-            and rep.group_admitted
-        )
+        ok = rep.n == new and rep.max_multiplicity == r and rep.is_arc_for_claimed_r and rep.group_admitted
         all_ok = all_ok and ok
-        rows.append(
-            {
-                "q": int(q),
-                "r": int(r),
-                "old_bound": int(old),
-                "new_bound": int(new),
-                "arc_file": arcfile,
-                "verified": ok,
-            }
-        )
+        rows.append({"q": q, "r": r, "old_bound": old, "new_bound": new, "arc_file": arcfile, "verified": ok})
     open_cases = [
         {"q": int(q), "r": int(r), "candidates": [int(v) for v in cands.split(",")]}
-        for q, r, cands in _tsv_rows(data / "open_cases.tsv")
+        for q, r, cands in bundled_rows("open_cases.tsv")
     ]
     payload = {
         "improved_bounds": rows,
@@ -323,13 +291,6 @@ def build_parser():
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("oracle", help="exhaustive optimum for tiny full planes")
-    p.add_argument("--q", type=int)
-    p.add_argument("--field")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("code", help="linear-code parameters [n, 3, d] of an arc")
     p.add_argument("arcfile")

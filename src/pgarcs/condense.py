@@ -16,6 +16,7 @@ from functools import partial
 
 from .errors import NotAdmittedError, ParseError
 from .geometry import Plane
+from .gf import header_int, key_values, text_lines
 from .group import OrbitData, normalizer_permutations
 
 __all__ = [
@@ -123,14 +124,15 @@ def format_system(system: CondensedSystem) -> str:
 
 
 def parse_system(text: str) -> CondensedSystem:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    """The inverse of `format_system`; ``#`` starts a comment."""
+    lines = [line for _, line in text_lines(text)]
     if not lines:
         raise ParseError("empty condensed system")
-    header = dict(tok.partition("=")[::2] for tok in lines[0].split())
+    header = key_values(lines[0])
     for key in ("ell", "q", "r"):
         if key not in header:
             raise ParseError(f"header has no {key}=")
-    ell, q, r = int(header["ell"]), int(header["q"]), int(header["r"])
+    ell, q, r = (header_int(header, key) for key in ("ell", "q", "r"))
     if ell < 1:
         raise ParseError(f"ell={ell} must be at least 1")
     if not 1 <= r <= q + 1:

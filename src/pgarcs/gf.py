@@ -12,18 +12,28 @@ the field polynomial); negation, inversion and the Frobenius map are read
 off those two.  The same pass is the irreducibility test: the quotient
 ring is a field exactly when no product of nonzero elements is zero.
 Fields are immutable after construction.
+
+Every text reader of the package (arc, group, condensed-system and
+bundled-table files) reads through `text_lines`, `key_values` and, for a
+field, `field_from_header`, the rule behind `parse_field_spec`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParseError
+
 __all__ = [
     "Field",
     "field_for_order",
+    "field_from_header",
+    "header_int",
     "is_irreducible",
     "is_prime",
+    "key_values",
     "parse_field_spec",
+    "text_lines",
 ]
 
 # default irreducible polynomials (low degree first) for the supported
@@ -169,23 +179,67 @@ class Field:
         return f"Field({self.spec_string()!r})"
 
 
-def parse_field_spec(text: str) -> Field:
-    """Parse the text form ``p=<p> e=<e> poly=<a0>,<a1>,...`` into a Field."""
+def text_lines(text: str):
+    """(line number, text before any ``#``, stripped) for each line of
+    text that keeps any; numbers count every line from 1."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def key_values(text: str, line=None) -> dict:
+    """The ``key=value`` tokens of text as a dict of strings."""
     kv = {}
     for token in text.split():
-        if "=" not in token:
-            raise ValueError(f"bad field spec token {token!r}")
-        key, val = token.split("=", 1)
+        key, eq, val = token.partition("=")
+        if not eq:
+            raise ParseError(f"expected key=value, got {token!r}", line)
         kv[key] = val
+    return kv
+
+
+def header_int(kv: dict, key: str, lines=None) -> int:
+    """kv[key] as an int; `lines` maps a key to its line, for the ParseError."""
     try:
-        p = int(kv["p"])
-        e = int(kv.get("e", "1"))
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"bad field spec {text!r}") from exc
+        return int(kv[key])
+    except ValueError:
+        raise ParseError(f"bad {key} value {kv[key]!r}", (lines or {}).get(key)) from None
+
+
+def field_from_header(kv: dict, lines=None) -> Field:
+    """The field that ``p= e= poly=`` keys name (e defaults to 1, poly is
+    read only for e > 1), or a prime ``q=`` alone; a ``q=`` next to p=
+    must equal p^e.  `lines` is as for `header_int`."""
+    at = lines or {}
+    if "p" in kv:
+        p = header_int(kv, "p", at)
+        e = header_int(kv, "e", at) if "e" in kv else 1
+    elif "q" in kv:
+        p, e = header_int(kv, "q", at), 1
+        if not is_prime(p):
+            raise ParseError("non-prime q needs explicit p=, e= and poly= headers", at.get("q"))
+    else:
+        raise ParseError("missing field headers (p=/e= or prime q=)")
     poly = None
-    if "poly" in kv:
-        poly = [int(c) for c in kv["poly"].split(",")]
-    return Field(p, e, poly)
+    if e > 1 and "poly" in kv:
+        try:
+            poly = [int(c) for c in kv["poly"].split(",")]
+        except ValueError:
+            raise ParseError(f"bad poly value {kv['poly']!r}", at.get("poly")) from None
+    try:
+        spec = Field(p, e, poly)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    if "q" in kv and header_int(kv, "q", at) != spec.q:
+        raise ParseError(f"q={kv['q']} does not match p^e={spec.q}", at.get("q"))
+    return spec
+
+
+def parse_field_spec(text: str) -> Field:
+    """Parse the text form ``p=<p> e=<e> poly=<a0>,<a1>,...`` (or a prime
+    ``q=<q>``) into a Field."""
+    return field_from_header(key_values(text))
 
 
 def field_for_order(q: int) -> Field:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ParseError
 from .geometry import Plane, _codes, _cross, normalize_triple
-from .gf import Field
+from .gf import Field, text_lines
 
 __all__ = [
     "Group",
@@ -51,6 +51,7 @@ __all__ = [
     "normalizer_permutations",
     "orbits",
     "parse_group_file",
+    "read_generators",
     "scalar_powers",
     "transpose_element",
 ]
@@ -556,16 +557,14 @@ def normalizer_permutations(plane: Plane, orb: OrbitData, A, w, deadline=math.in
     return order, perms[:count]
 
 
-def parse_group_file(text: str, spec: Field):
-    """Generators from text: nine codes per line, optional trailing frob=<k>."""
+def read_generators(lines, spec: Field):
+    """Generators from `gf.text_lines` pairs: nine codes per line,
+    optional trailing frob=<k>."""
     gens = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in lines:
         tokens = line.split()
         frob = 0
-        if tokens and tokens[-1].startswith("frob="):
+        if tokens[-1].startswith("frob="):
             try:
                 frob = int(tokens[-1][5:])
             except ValueError:
@@ -583,6 +582,11 @@ def parse_group_file(text: str, spec: Field):
         except ValueError as exc:
             raise ParseError(str(exc), lineno)
     return gens
+
+
+def parse_group_file(text: str, spec: Field):
+    """Generators from the text of a group file."""
+    return read_generators(text_lines(text), spec)
 
 
 def format_group_file(generators) -> str:

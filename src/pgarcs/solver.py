@@ -23,14 +23,14 @@ incumbent at the target, whichever side found it; the moves left over
 are dropped, and a search that outlasts the schedule goes on alone.  A
 target search prunes on target - 1, so its nodes do not depend on the
 LNS, and an LNS witness stops it at its next node; a max search prunes
-on the shared incumbent, which holds only feasible points.  With
-deterministic=True the LNS never reads the clock, so a solve_max that
-ends within its budget replays bit-identically; solve_feasible and other
-runs also stop the LNS at the deadline.  A chunked exhaustive oracle covers tiny instances.  Budget
-exhaustion is reported as a Timeout status, never an error; the root LP
-gets the remaining budget as its time limit, and a limited root counts
-as no optimum.  solve_max and solve_feasible share one body and run one
-single-threaded search from the root.
+on the shared incumbent, which holds only feasible points.  The LNS
+stops at the deadline, which a solve that ends within its budget never
+reaches, so such a solve replays bit-identically.  A chunked exhaustive
+oracle covers tiny instances.  Budget exhaustion is reported as a
+Timeout status, never an error; the root LP gets the remaining budget
+as its time limit, and a limited root counts as no optimum.  solve_max
+and solve_feasible share one body and run one single-threaded search
+from the root.
 
 A system condensed from a group G carries the symmetry of the normalizer
 N(G) in PGL(3,q), which maps G-invariant arcs to G-invariant arcs and so
@@ -475,15 +475,15 @@ def _greedy_fill(order, x, loads, obj, w, col, guard):
     return loads, obj
 
 
-def _lns_phase(model, incumbent, budget, deadline, deterministic, target=None):
+def _lns_phase(model, incumbent, budget, deadline, target=None):
     """Seeded ruin-and-recreate incumbent improvement, a generator that
     yields before each move, so that a search can run it in step.
 
     Each restart grows a shuffled greedy fill, then repeatedly drops a few
     selected variables and refills in a fresh shuffled order, keeping
     non-worsening moves.  Restart and iteration counts are derived from
-    the budget value alone; only non-deterministic runs also watch the
-    wall clock.  The row loads are packed (`IlpModel.packed`), so a
+    the budget value alone; the wall clock only stops the phase at the
+    deadline.  The row loads are packed (`IlpModel.packed`), so a
     rejected move restores the best loads by reference.
     """
     n, w = model.n, model.w
@@ -504,7 +504,7 @@ def _lns_phase(model, incumbent, budget, deadline, deterministic, target=None):
             return
         for it in range(iters):
             yield
-            if not deterministic and time.monotonic() > deadline:
+            if time.monotonic() > deadline:
                 return
             sel = list(compress(range(n), x))
             if not sel:
@@ -527,7 +527,7 @@ def _lns_phase(model, incumbent, budget, deadline, deterministic, target=None):
                     return
 
 
-def _solve(model, budget, deterministic, target=None):
+def _solve(model, budget, target=None):
     """The body of solve_max (target None) and solve_feasible."""
     t0 = time.monotonic()
 
@@ -549,7 +549,7 @@ def _solve(model, budget, deterministic, target=None):
     if incumbent.objective >= root_bound:  # with a target, root_bound >= target > incumbent
         return done(incumbent.x, incumbent.objective, OPTIMAL, 1)
     search = _Search(model, lp, incumbent, deadline, target=target)
-    search.run(_lns_phase(model, incumbent, budget, deadline, deterministic, target=target))
+    search.run(_lns_phase(model, incumbent, budget, deadline, target=target))
     if search.target_hit:
         status = FEASIBLE_FOUND
     elif search.timed_out:
@@ -563,7 +563,6 @@ def solve_max(
     model: IlpModel,
     budget: float = 60.0,
     threads: int = 1,
-    deterministic: bool = True,
 ) -> Solution:
     """Branch and bound to a proven optimum within the time budget.
 
@@ -574,7 +573,7 @@ def solve_max(
     """
     if threads != 1:
         raise ValueError(f"threads={threads}: a solve runs one single-threaded search")
-    return _solve(model, budget, deterministic)
+    return _solve(model, budget)
 
 
 def solve_feasible(model: IlpModel, target: int, budget: float = 60.0) -> Solution:
@@ -584,4 +583,4 @@ def solve_feasible(model: IlpModel, target: int, budget: float = 60.0) -> Soluti
     ProvedInfeasible when the exhausted search shows the maximum is below
     it, Timeout otherwise.
     """
-    return _solve(model, budget, False, target=target)
+    return _solve(model, budget, target=target)

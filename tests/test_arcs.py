@@ -199,6 +199,19 @@ def test_parse_reports_line_numbers():
     assert err.value.line == 7
 
 
+@pytest.mark.parametrize(
+    ("text", "line", "message"),
+    (
+        ("q=5\np=5\ne=1\nr=2\ngroup-begin\n1 0 0 0 1 0 0 0 x\ngroup-end\npoints:\n(1,0,0)\n", 6, "matrix entries"),
+        ("q=5\np=x\ne=1\nr=2\npoints:\n(1,0,0)\n", 2, "bad p value 'x'"),
+    ),
+)
+def test_group_block_and_header_errors_carry_the_file_line(text, line, message):
+    with pytest.raises(ParseError, match=f"^line {line}: {message}") as err:
+        parse_arc_file(text)
+    assert err.value.line == line
+
+
 def test_scaled_tuples_normalize_to_duplicates():
     text = "q=5\np=5\ne=1\nr=2\npoints:\n(0,1,2) (0,2,4)\n"
     with pytest.raises(ParseError):

@@ -5,7 +5,9 @@ import pytest
 from pgarcs import cli
 from pgarcs.arcs import corpus_text, format_arc_file, load_corpus_arc
 from pgarcs.classify import enumerate_cyclic_classes, format_class_list
+from pgarcs.condense import parse_system
 from pgarcs.group import format_group_file, transpose_element
+from pgarcs.solver import IlpModel, exhaustive_oracle
 
 
 def run(capsys, argv):
@@ -28,7 +30,30 @@ def test_solve_deterministic_replays(tmp_path, capsys):
     assert "time" not in fields
 
 
+# m_r(2,q) of the full plane, no group: 2^(q^2+q+1) point sets at most
+@pytest.mark.parametrize(("q", "r", "optimum"), ((2, 2, 4), (2, 3, 7), (3, 2, 4), (3, 3, 9), (4, 2, 6), (4, 3, 9)))
+def test_condense_then_solve_matches_the_exhaustive_oracle(tmp_path, capsys, q, r, optimum):
+    system = tmp_path / "full.sys"
+    assert cli.main(["condense", "--q", str(q), "--r", str(r), "--out", str(system)]) == cli.EXIT_OK
+    capsys.readouterr()
+    rc, out, _ = run(capsys, ["solve", "--system", str(system), "--deterministic"])
+    fields = dict(line.split("=", 1) for line in out.splitlines())
+    assert (rc, fields["status"]) == (cli.EXIT_OK, "Optimal")
+    model = IlpModel(parse_system(system.read_text()))
+    assert int(fields["objective"]) == exhaustive_oracle(model).objective == optimum
+    x = tuple(int(v) for v in fields["x"])
+    assert model.check_feasible(x) and model.objective(x) == optimum
+
+
 EXCLUDE_Q3 = ["exclude", "--q", "3", "--r", "2", "--n", "5", "--budget-per-class", "10"]
+
+
+def progress_line(c, times=False):
+    """The stderr line of `pgarcs exclude` for the class record c."""
+    if c["implied_by"] is not None:
+        return f"class {c['id']} order {c['order']}: {c['status']} implied by class {c['implied_by']}"
+    line = f"class {c['id']} order {c['order']} ell {c['ell']}: {c['status']} nodes={c['nodes']}"
+    return line + f" time={c['time']}" if times else line
 
 
 @pytest.mark.parametrize("command", (["solve", "--system", "x.sys"], EXCLUDE_Q3))
@@ -56,10 +81,7 @@ def test_exclude_deterministic_replays(tmp_path, capsys):
     symmetry = {c["id"]: c["symmetry"] for c in report["classes"]}
     assert symmetry[1] == 24
     assert all(v >= 1 for v in symmetry.values())
-    assert err.splitlines() == [
-        f"class {c['id']} order {c['order']} ell {c['ell']}: ProvedInfeasible nodes={c['nodes']}"
-        for c in report["classes"]
-    ]
+    assert err.splitlines() == [progress_line(c) for c in report["classes"]]
 
 
 def test_exclude_progress_lines_carry_class_times(capsys):
@@ -67,10 +89,11 @@ def test_exclude_progress_lines_carry_class_times(capsys):
     assert rc == cli.EXIT_OK
     classes = json.loads(out)["classes"]
     assert len(classes) == 11
-    assert err.splitlines() == [
-        f"class {c['id']} order {c['order']} ell {c['ell']}: {c['status']} nodes={c['nodes']} time={c['time']}"
-        for c in classes
-    ]
+    assert err.splitlines() == [progress_line(c, times=True) for c in classes]
+    # an implied class names the solve its exclusion rests on, and has no time
+    implied = [line for line in err.splitlines() if " implied by class " in line]
+    assert len(implied) == sum(c["implied_by"] is not None for c in classes) == 7
+    assert all("time=" not in line and "ell" not in line for line in implied)
 
 
 def test_exclude_resume_reads_records_written_without_symmetry(tmp_path, capsys):
@@ -98,6 +121,19 @@ def test_exclude_resume_retries_a_timeout_only_under_a_larger_budget(tmp_path, c
     saved = json.loads(path.read_text())["classes"]
     assert saved["2"] == records["2"]
     assert {c["budget"] for c in saved.values()} == {10.0}
+
+
+def test_exclude_skip_keeps_a_checkpointed_record(tmp_path, capsys):
+    path = tmp_path / "checkpoint.json"
+    saved = {"id": 1, "order": 2, "ell": 9, "status": "ProvedInfeasible", "objective": 4, "nodes": 7, "symmetry": 24}
+    saved.update(time=0.1, implied_by=None, budget=10.0)
+    path.write_text(json.dumps({"key": "q=3 r=2 n=5", "classes": {"1": saved}}))
+    rc, out, err = run(capsys, EXCLUDE_Q3 + ["--deterministic", "--skip", "1", "--resume", str(path)])
+    report = json.loads(out)
+    assert report["classes"][0] == {k: v for k, v in saved.items() if k != "time"}
+    assert (rc, report["verdict"], report["undecided"]) == (cli.EXIT_OK, "RigidOrNonexistent", [])
+    assert len(err.splitlines()) == 10  # class 1 is neither solved nor skipped
+    assert json.loads(path.read_text())["classes"]["1"] == saved
 
 
 EXCLUDE_Q5_N6 = ["exclude", "--q", "5", "--r", "2", "--n", "6", "--budget-per-class", "2", "--deterministic"]

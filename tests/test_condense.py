@@ -158,3 +158,13 @@ def test_system_file_round_trip(plane_for):
     )
     with pytest.raises(ValueError):
         parse_system("ell=2 q=3 r=1\nw: 1\n1 1\n1 1\n")
+
+
+def test_system_file_comments(plane_for):
+    plane = plane_for(5)
+    cs = condense(plane, orbits(plane, random_cyclic_group(plane.spec, random.Random(10))), 2)
+    header, weights, *rows = format_system(cs).splitlines()
+    lines = ["  # an indented comment", f"{header}  # header", f"{weights} # weights"]
+    lines += [f"{row} # row {i}" for i, row in enumerate(rows)]
+    back = parse_system("\n".join(lines) + "\n")
+    assert (back.ell, back.q, back.r, back.w, back.A) == (cs.ell, cs.q, cs.r, cs.w, cs.A)

@@ -346,8 +346,8 @@ def test_determinism(plane_for):
     plane = plane_for(7)
     od = orbits(plane, random_cyclic_group(plane.spec, random.Random(15)))
     model = IlpModel(condense(plane, od, 2))
-    a = solve_max(model, budget=60, deterministic=True)
-    b = solve_max(model, budget=60, deterministic=True)
+    a = solve_max(model, budget=60)
+    b = solve_max(model, budget=60)
     assert a.x == b.x
     assert a.objective == b.objective
     assert a.nodes_explored == b.nodes_explored
@@ -396,7 +396,7 @@ def lns_trajectory(model, budget, target=None):
             return super().offer(x, objective)
 
     warm = greedy_warm_start(model)
-    for _ in _lns_phase(model, Recording(warm.x, warm.objective), budget, float("inf"), True, target=target):
+    for _ in _lns_phase(model, Recording(warm.x, warm.objective), budget, float("inf"), target=target):
         pass
     return offers
 
