@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ParseError
 from .geometry import Plane, _normalized_triples, build_plane
-from .gf import Field, field_from_header, header_int, key_values, text_lines
+from .gf import Field, field_from_header, header_int, text_lines
 from .group import (
     Group,
     GroupElement,
@@ -193,7 +193,8 @@ def parse_arc_file(text: str, plane: Plane | None = None) -> ParsedArc:
     """Parse the arc file grammar.
 
     Header lines ``q= p= e= poly= r=`` (poly omitted for prime fields),
-    an optional ``group-begin``/``group-end`` block holding generators in
+    one ``key=value`` per line, split at its first ``=`` with both sides
+    stripped; an optional ``group-begin``/``group-end`` block holding generators in
     the group file format, then ``points:`` followed by ``(a,b,c)`` tuples
     in the field's integer element coding.  Tuples need not be normalized:
     any nonzero multiple names its point.  When a group is present the
@@ -214,9 +215,11 @@ def parse_arc_file(text: str, plane: Plane | None = None) -> ParsedArc:
             else:
                 raise ParseError("unterminated group block (missing group-end)")
             continue
-        kv = key_values(line, lineno)
-        header.update(kv)
-        at.update(dict.fromkeys(kv, lineno))
+        key, eq, val = line.partition("=")
+        if not eq:
+            raise ParseError(f"expected header assignment, got {line!r}", lineno)
+        header[key.strip()] = val.strip()
+        at[key.strip()] = lineno
     point_tokens = [(lineno, tok) for lineno, line in lines for tok in line.split()]
 
     if "r" not in header:

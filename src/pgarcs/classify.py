@@ -21,7 +21,6 @@ prime-order subgroups is conjugate to an excluded one.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -182,15 +181,13 @@ def _subgroup_signature(spec, powers):
     return tuple(sorted(sig))
 
 
-@functools.cache
 def enumerate_cyclic_classes(p: int):
     """A transversal of the conjugacy classes of PGL(3,p), prime p.
 
     One representative per element class, the generators of the cyclic
     candidates for the exclusion sweep; the trivial class is flagged by
     projective_order 1 and sorts first.  The count is q^2+q+2 when 3
-    divides q-1 and q^2+q otherwise, the trivial class included.  The
-    tuple is built once per p and shared by every caller.
+    divides q-1 and q^2+q otherwise, the trivial class included.
     """
     if not is_prime(p):
         raise ValueError(f"p={p} must be prime")
@@ -207,7 +204,7 @@ def enumerate_cyclic_classes(p: int):
         powers = scalar_powers(spec, m)
         items.append((len(powers), _subgroup_signature(spec, powers), lab, m))
     items.sort(key=lambda t: t[:3])
-    return tuple(
+    return [
         ConjClassRep(
             class_id=i,
             generator=make_element(spec, m),
@@ -216,7 +213,7 @@ def enumerate_cyclic_classes(p: int):
             signature=sig,
         )
         for i, (order, sig, lab, m) in enumerate(items)
-    )
+    ]
 
 
 def subgroup_class_count(classes) -> int:

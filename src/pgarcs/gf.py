@@ -14,8 +14,10 @@ ring is a field exactly when no product of nonzero elements is zero.
 Fields are immutable after construction.
 
 Every text reader of the package (arc, group, condensed-system and
-bundled-table files) reads through `text_lines`, `key_values` and, for a
-field, `field_from_header`, the rule behind `parse_field_spec`.
+bundled-table files) reads its lines through `text_lines`.  Field specs
+and condensed-system headers are `key_values` tokens; an arc file holds
+one ``key=value`` per header line.  Every field is built by
+`field_from_header`, the rule behind `parse_field_spec`.
 """
 
 from __future__ import annotations

@@ -212,6 +212,17 @@ def test_group_block_and_header_errors_carry_the_file_line(text, line, message):
     assert err.value.line == line
 
 
+def test_header_lines_split_at_the_first_equals_sign():
+    spaced = "q = 25\np = 5\ne= 2\npoly =2,1,1\nnote=written by hand\nr = 3\npoints:\n(1,0,0) (0,1,0)\n"
+    plain = "q=25\np=5\ne=2\npoly=2,1,1\nr=3\npoints:\n(1,0,0) (0,1,0)\n"
+    a, b = parse_arc_file(spaced), parse_arc_file(plain)
+    assert (a.spec, a.arc.points, a.arc.r_claimed) == (b.spec, b.arc.points, b.arc.r_claimed)
+    with pytest.raises(ParseError, match="^line 2: expected header assignment, got 'p 5'$"):
+        parse_arc_file(plain.replace("p=5", "p 5"))
+    with pytest.raises(ParseError, match="^line 2: bad p value '5 e=2'$"):
+        parse_arc_file(plain.replace("p=5\ne=2", "p=5 e=2"))
+
+
 def test_scaled_tuples_normalize_to_duplicates():
     text = "q=5\np=5\ne=1\nr=2\npoints:\n(0,1,2) (0,2,4)\n"
     with pytest.raises(ParseError):
