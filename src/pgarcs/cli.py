@@ -37,6 +37,7 @@ from .arcs import (
     verify_arc,
 )
 from .classify import (
+    VERDICT_INCONCLUSIVE,
     enumerate_cyclic_classes,
     format_class_list,
     run_exclusion,
@@ -96,14 +97,6 @@ def _emit_artifact(text, summary, out):
     (sys.stdout if out else sys.stderr).write(_json(summary))
 
 
-def _field_from_args(args):
-    if getattr(args, "field", None):
-        return parse_field_spec(args.field)
-    if getattr(args, "q", None):
-        return field_for_order(args.q)
-    raise SystemExit("need --field or --q")
-
-
 def cmd_verify(args):
     pa = parse_arc_file(_read(args.arcfile))
     group, convention = pa.group, pa.convention
@@ -121,7 +114,7 @@ def cmd_verify(args):
 
 
 def cmd_condense(args):
-    spec = _field_from_args(args)
+    spec = field_for_order(args.q) if args.field is None else parse_field_spec(args.field)
     gens = parse_group_file(_read(args.group), spec) if args.group else []
     plane = build_plane(spec)
     grp = closure(spec, gens)
@@ -189,7 +182,7 @@ def cmd_exclude(args):
             rec.pop("time", None)
     payload["meta"] = _meta(field_for_order(args.q))
     _emit(payload, args.out)
-    return EXIT_INCONCLUSIVE if report.undecided or report.verdict == "Inconclusive" else EXIT_OK
+    return EXIT_INCONCLUSIVE if report.undecided or report.verdict == VERDICT_INCONCLUSIVE else EXIT_OK
 
 
 def cmd_classify(args):
@@ -261,8 +254,9 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("condense", help="build the orbit-condensed system")
-    p.add_argument("--q", type=int)
-    p.add_argument("--field", help="field spec string, e.g. 'p=5 e=2 poly=2,1,1'")
+    field = p.add_mutually_exclusive_group(required=True)
+    field.add_argument("--q", type=int)
+    field.add_argument("--field", help="field spec string, e.g. 'p=5 e=2 poly=2,1,1'")
     p.add_argument("--group", help="generator file; omit for the trivial group")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--out")

@@ -123,12 +123,19 @@ def format_system(system: CondensedSystem) -> str:
     return "\n".join(out) + "\n"
 
 
+def _integers(lineno, text):
+    try:
+        return tuple(int(v) for v in text.split())
+    except ValueError:
+        raise ParseError(f"expected integers, got {text.strip()!r}", lineno) from None
+
+
 def parse_system(text: str) -> CondensedSystem:
     """The inverse of `format_system`; ``#`` starts a comment."""
-    lines = [line for _, line in text_lines(text)]
+    lines = list(text_lines(text))
     if not lines:
         raise ParseError("empty condensed system")
-    header = key_values(lines[0])
+    header = key_values(lines[0][1])
     for key in ("ell", "q", "r"):
         if key not in header:
             raise ParseError(f"header has no {key}=")
@@ -137,12 +144,12 @@ def parse_system(text: str) -> CondensedSystem:
         raise ParseError(f"ell={ell} must be at least 1")
     if not 1 <= r <= q + 1:
         raise ParseError(f"r={r} out of range 1..{q + 1}")
-    if len(lines) < 2 or not lines[1].startswith("w:"):
+    if len(lines) < 2 or not lines[1][1].startswith("w:"):
         raise ParseError("missing weight line")
     if len(lines) > 2 + ell:
         raise ParseError(f"more matrix rows than ell={ell}")
-    w = tuple(int(v) for v in lines[1][2:].split())
-    A = tuple(tuple(int(v) for v in ln.split()) for ln in lines[2:])
+    w = _integers(lines[1][0], lines[1][1][2:])
+    A = tuple(_integers(*line) for line in lines[2:])
     if len(w) != ell or len(A) != ell or any(len(row) != ell for row in A):
         raise ParseError("condensed system dimensions do not match header")
     return CondensedSystem(ell=ell, A=A, w=w, r=r, q=q)

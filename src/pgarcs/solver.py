@@ -1,4 +1,4 @@
-"""Exact and budgeted 0/1 maximization of w.x subject to A.x <= r.u.
+"""Exact and budgeted 0/1 maximization of w.x subject to A.x <= r.
 
 Depth-first branch and bound, 1-branch first, with most-fractional
 branching.  Each search keeps one HiGHS LP relaxation and changes one
@@ -18,19 +18,23 @@ one addition and one mask.
 The LNS runs in step with the search: before each node it makes ell
 moves (ell = model.n).  A node re-solves an LP over ell columns and a
 move refills up to ell variables, so neither side starves the other.
-The solve ends when the search ends: exhausted, timed out, or with an
-incumbent at the target, whichever side found it; the moves left over
-are dropped, and a search that outlasts the schedule goes on alone.  A
-target search prunes on target - 1, so its nodes do not depend on the
-LNS, and an LNS witness stops it at its next node; a max search prunes
-on the shared incumbent, which holds only feasible points.  The LNS
-stops at the deadline, which a solve that ends within its budget never
-reaches, so such a solve replays bit-identically.  A chunked exhaustive
-oracle covers tiny instances.  Budget exhaustion is reported as a
-Timeout status, never an error; the root LP gets the remaining budget
-as its time limit, and a limited root counts as no optimum.  solve_max
-and solve_feasible share one body and run one single-threaded search
-from the root.
+The solve ends when the search ends; the moves left over are dropped,
+and a search that outlasts the schedule goes on alone.  solve_max and
+solve_feasible share one body and run one single-threaded search from
+the root.  A chunked exhaustive oracle covers tiny instances.
+
+A solve stops by two rules, each decided in one place.  The target: the
+incumbent that the search and the LNS share holds it and says when it
+is reached (`hit`); either side stops there, so an LNS witness stops the
+search at its next node.  A target search prunes on target - 1, so its
+nodes do not depend on the LNS; a max search prunes on the incumbent,
+which holds only feasible points.  The deadline: a search node past it
+raises BudgetExceededError, as does the normalizer listing, and the body
+turns that one exception into a Timeout status, never an error.  The
+LNS returns at the deadline too, which a solve that ends within its
+budget never reaches, so such a solve replays bit-identically.  The root
+LP gets the remaining budget as its time limit, and a limited root
+counts as no optimum.
 
 A system condensed from a group G carries the symmetry of the normalizer
 N(G) in PGL(3,q), which maps G-invariant arcs to G-invariant arcs and so
@@ -87,16 +91,15 @@ CERT_BITS = 20  # row duals are scaled by 2**CERT_BITS and floored
 
 
 class IlpModel:
-    """max w.x, A.x <= rhs, x in {0,1}^n, all data nonnegative integers."""
+    """max w.x, A.x <= r, x in {0,1}^n, A square, all data nonnegative integers."""
 
     def __init__(self, system: CondensedSystem):
         self.system = system
         self.n = system.ell
         self.w = tuple(system.w)
         self.A = tuple(tuple(row) for row in system.A)
-        self.m = len(self.A)
-        self.rhs = (system.r,) * self.m
-        if any(len(row) != self.n for row in self.A):
+        self.r = system.r
+        if len(self.A) != self.n or any(len(row) != self.n for row in self.A):
             raise ValueError("constraint matrix is not ell x ell")
         if any(v < 0 for row in self.A for v in row) or any(v < 0 for v in self.w):
             raise ValueError("model data must be nonnegative")
@@ -118,28 +121,25 @@ class IlpModel:
     def packed(self):
         """(empty, guard, col): the row loads as one integer, b bits per
         row, each row offset so that its top bit is set exactly when the
-        load exceeds the rhs.  `empty` is the load of no selection, `guard`
+        load exceeds r.  `empty` is the load of no selection, `guard`
         holds the top bits and col[j] is column j, so x_j fits when
         (loads + col[j]) & guard is 0, and inserting or dropping it is one
         addition.  Built on first use, so setting up a model does not pay.
 
-        No field ever carries into the next one: b - 1 bits hold any rhs,
+        No field ever carries into the next one: b - 1 bits hold r,
         and a b-bit field holds a full row plus one coefficient.  A search
         node fixes at most one variable to 1 and is pruned at once if that
         overflows; the greedy pass and the LNS insert only variables that fit.
         """
-        b = max(max(self.rhs), max(map(max, self.A))).bit_length() + 1
+        b = max(self.r, max(map(max, self.A))).bit_length() + 1
         half = 1 << (b - 1)
-        guard = sum(half << (b * i) for i in range(self.m))
-        empty = sum((half - 1 - rhs) << (b * i) for i, rhs in enumerate(self.rhs))
+        ones = sum(1 << (b * i) for i in range(self.n))
+        guard, empty = half * ones, (half - 1 - self.r) * ones
         col = [sum(row[j] << (b * i) for i, row in enumerate(self.A)) for j in range(self.n)]
         return empty, guard, col
 
     def check_feasible(self, x) -> bool:
-        return all(
-            sum(a * x[j] for j, a in enumerate(row)) <= b
-            for row, b in zip(self.A, self.rhs)
-        )
+        return all(sum(a * x[j] for j, a in enumerate(row)) <= self.r for row in self.A)
 
     def objective(self, x) -> int:
         return sum(wj for wj, xj in zip(self.w, x) if xj)
@@ -165,9 +165,9 @@ class _Lp:
     """
 
     def __init__(self, model: IlpModel):
-        n, m = model.n, model.m
+        n, r = model.n, model.r
         self.A = np.array(model.A, dtype=np.int64)
-        self.b = np.array(model.rhs, dtype=np.int64)
+        self.r = r
         self.w_scaled = np.array(model.w, dtype=np.int64) << CERT_BITS
         rows, cols = np.nonzero(self.A)
         self.highs = h = _highs._Highs()
@@ -176,10 +176,10 @@ class _Lp:
         h.setOptionValue("primal_feasibility_tolerance", LP_TOL)
         h.setOptionValue("dual_feasibility_tolerance", LP_TOL)
         status = h.passModel(
-            n, m, len(rows), int(_highs.MatrixFormat.kRowwise), int(_highs.ObjSense.kMinimize), 0.0,
+            n, n, len(rows), int(_highs.MatrixFormat.kRowwise), int(_highs.ObjSense.kMinimize), 0.0,
             -np.array(model.w, dtype=np.float64), np.zeros(n), np.ones(n),
-            np.full(m, -_highs.kHighsInf), self.b.astype(np.float64),
-            np.searchsorted(rows, np.arange(m)).astype(np.int32), cols.astype(np.int32),
+            np.full(n, -_highs.kHighsInf), np.full(n, float(r)),
+            np.searchsorted(rows, np.arange(n)).astype(np.int32), cols.astype(np.int32),
             self.A[rows, cols].astype(np.float64), np.zeros(n, dtype=np.int32),
         )
         if status == _highs.HighsStatus.kError:
@@ -187,7 +187,7 @@ class _Lp:
         self.lo = np.zeros(n, dtype=np.int64)
         self.hi = np.ones(n, dtype=np.int64)
         # scaled multipliers stay below this, so no int64 sum can overflow
-        self.y_max = float(2**62 // (1 + int(self.A.sum() + self.b.sum())))
+        self.y_max = float(2**62 // (1 + int(self.A.sum()) + n * r))
 
     def set_col(self, j, lo, hi):
         self.lo[j], self.hi[j] = lo, hi
@@ -196,11 +196,11 @@ class _Lp:
     def _certify(self, row_dual) -> int:
         """Neumaier-Shcherbina safe bound: with S = 2**CERT_BITS, any
         integer y >= 0 and d = S.w - y.A, every feasible completion has
-        S.w.x = y.A.x + d.x <= y.b + sum_j max(lo_j d_j, hi_j d_j)."""
+        S.w.x = y.A.x + d.x <= r.sum_i(y_i) + sum_j max(lo_j d_j, hi_j d_j)."""
         y = np.fmin(np.fmax(-np.asarray(row_dual), 0.0) * (1 << CERT_BITS), self.y_max)
         y = np.floor(y).astype(np.int64)
         d = self.w_scaled - y @ self.A
-        total = int(y @ self.b) + int(np.maximum(self.lo * d, self.hi * d).sum())
+        total = self.r * int(y.sum()) + int(np.maximum(self.lo * d, self.hi * d).sum())
         return total >> CERT_BITS
 
     def solve(self, time_limit=None):
@@ -229,7 +229,7 @@ def lp_bound(model: IlpModel, fixed=None):
     lp = _Lp(model)
     for j, v in (fixed or {}).items():
         lp.set_col(j, v, v)
-    if (lp.A @ lp.lo > lp.b).any():
+    if (lp.A @ lp.lo > lp.r).any():
         return float("-inf")
     return lp.solve()[0]
 
@@ -260,7 +260,6 @@ def exhaustive_oracle(model: IlpModel) -> Solution:
         raise BudgetExceededError(f"exhaustive oracle limited to {ORACLE_MAX_VARS} variables, got {n}")
     A = np.array(model.A, dtype=np.float32)
     w = np.array(model.w, dtype=np.float32)
-    rhs = np.array(model.rhs, dtype=np.float32)
     shifts = np.arange(n, dtype=np.uint32)
     best_obj = -1
     best_mask = 0
@@ -268,7 +267,7 @@ def exhaustive_oracle(model: IlpModel) -> Solution:
     for start in range(0, 1 << n, chunk):
         masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
         bits = ((masks[:, None] >> shifts) & 1).astype(np.float32)
-        feasible = (bits @ A.T <= rhs).all(axis=1)
+        feasible = (bits @ A.T <= model.r).all(axis=1)
         obj = bits @ w
         obj[~feasible] = -1.0
         i = int(np.argmax(obj))
@@ -286,11 +285,25 @@ def exhaustive_oracle(model: IlpModel) -> Solution:
 
 
 class _Incumbent:
-    """Monotone best-known feasible solution."""
+    """Monotone best-known feasible solution, shared by the search and the
+    LNS, and the solve's target (None for a maximization)."""
 
-    def __init__(self, x, objective):
+    def __init__(self, x, objective, target=None):
         self.x = x
         self.objective = objective
+        self.target = target
+
+    @property
+    def hit(self):
+        """Whether the objective has reached the target."""
+        return self.target is not None and self.objective >= self.target
+
+    @property
+    def threshold(self):
+        """The bound at or below which a node is pruned: target - 1, so
+        that a target search's nodes do not depend on the LNS, else the
+        objective."""
+        return self.objective if self.target is None else self.target - 1
 
     def offer(self, x, objective):
         if objective > self.objective:
@@ -307,20 +320,17 @@ class _Search:
     """One depth-first branch-and-bound pass from the root, bounding with
     its own LP, whose column bounds follow the assignment trail."""
 
-    def __init__(self, model, lp, incumbent, deadline, target=None):
+    def __init__(self, model, lp, incumbent, deadline):
         self.model = model
         self.lp = lp
         self.incumbent = incumbent
         self.deadline = deadline
-        self.target = target
         self.value = [None] * model.n
         self.loads, self.guard, self.col = model.packed
         self.fixed_w = 0
         self.sum_free_w = sum(model.w)
         self.free = model.n
         self.nodes = 0
-        self.timed_out = False
-        self.target_hit = False
         self.group = _UNLISTED  # the node's symmetry group, None when trivial
         self.symmetry = 1  # the group's order at the root
 
@@ -345,21 +355,11 @@ class _Search:
             self.fixed_w -= self.model.w[j]
             self.loads -= self.col[j]
 
-    def _offer(self, x, obj):
-        if self.incumbent.offer(x, obj):
-            if self.target is not None and obj >= self.target:
-                self.target_hit = True
-
-    def _threshold(self):
-        if self.target is not None:
-            return self.target - 1
-        return self.incumbent.objective
-
     # -- symmetry ---------------------------------------------------------
 
     def _root_group(self):
         """The model's symmetry, None when it has no nontrivial permutation."""
-        perms = self.model.symmetry(self.deadline)
+        perms = self.model.symmetry(self.deadline)  # BudgetExceededError past it
         if perms is None:
             return None
         self.symmetry = len(perms)
@@ -377,21 +377,19 @@ class _Search:
 
     def _eval(self, stack, lns):
         next(islice(lns, self.model.n, self.model.n), None)  # ell LNS moves
-        if self.target is not None and self.incumbent.objective >= self.target:
-            self.target_hit = True  # the LNS reached the target
+        if self.incumbent.hit:  # the LNS reached the target
             return
         self.nodes += 1
         if time.monotonic() > self.deadline:
-            self.timed_out = True
-            return
+            raise BudgetExceededError("deadline passed in the search")
         if self.loads & self.guard:
             return
         if self.fixed_w > self.incumbent.objective:
             x = tuple(v if v else 0 for v in self.value)
-            self._offer(x, self.fixed_w)
-        if self.target_hit or not self.free:
+            self.incumbent.offer(x, self.fixed_w)
+        if self.incumbent.hit or not self.free:
             return
-        threshold = self._threshold()
+        threshold = self.incumbent.threshold
         if self.fixed_w + self.sum_free_w <= threshold:
             return
         bound, frac = self.lp.solve()
@@ -413,7 +411,7 @@ class _Search:
                 )
                 if self.model.check_feasible(x):
                     obj = self.model.objective(x)
-                    self._offer(x, obj)
+                    self.incumbent.offer(x, obj)
                     if bound <= max(threshold, obj):
                         return
                 # otherwise branch: the rounding is infeasible or the
@@ -424,23 +422,19 @@ class _Search:
                 key=lambda j: (self.model.w[j], -j),
             )
         if self.group is _UNLISTED:
-            try:
-                self.group = self._root_group()
-            except BudgetExceededError:
-                self.timed_out = True
-                return
+            self.group = self._root_group()
         orbit, stab = self._split(j_star)
         stack.extend(
             [("unset", orbit), ("set", orbit, 0, self.group), ("unset", (j_star,)), ("set", (j_star,), 1, stab)]
         )
 
     def run(self, lns=()):
-        """Search until the tree is exhausted, the deadline passes or the
-        target is reached, advancing the iterator `lns` by ell steps
-        before each node."""
+        """Search until the tree is exhausted or the incumbent hits its
+        target, advancing the iterator `lns` by ell steps before each node;
+        BudgetExceededError once a node is past the deadline."""
         stack = []
         self._eval(stack, lns)
-        while stack and not self.timed_out and not self.target_hit:
+        while stack and not self.incumbent.hit:
             op = stack.pop()
             if op[0] == "unset":
                 for j in op[1]:
@@ -475,7 +469,7 @@ def _greedy_fill(order, x, loads, obj, w, col, guard):
     return loads, obj
 
 
-def _lns_phase(model, incumbent, budget, deadline, target=None):
+def _lns_phase(model, incumbent, budget, deadline):
     """Seeded ruin-and-recreate incumbent improvement, a generator that
     yields before each move, so that a search can run it in step.
 
@@ -483,8 +477,9 @@ def _lns_phase(model, incumbent, budget, deadline, target=None):
     selected variables and refills in a fresh shuffled order, keeping
     non-worsening moves.  Restart and iteration counts are derived from
     the budget value alone; the wall clock only stops the phase at the
-    deadline.  The row loads are packed (`IlpModel.packed`), so a
-    rejected move restores the best loads by reference.
+    deadline.  It also stops when the incumbent hits its target.  The row
+    loads are packed (`IlpModel.packed`), so a rejected move restores the
+    best loads by reference.
     """
     n, w = model.n, model.w
     total = sum(w)
@@ -500,7 +495,7 @@ def _lns_phase(model, incumbent, budget, deadline, target=None):
         loads, obj = _greedy_fill(_shuffled(base_order, draws, bits), x, empty, 0, w, col, guard)
         best_obj, best_x, best_loads = obj, x[:], loads
         incumbent.offer(tuple(x), obj)
-        if target is not None and incumbent.objective >= target:
+        if incumbent.hit:
             return
         for it in range(iters):
             yield
@@ -521,9 +516,7 @@ def _lns_phase(model, incumbent, budget, deadline, target=None):
             if obj > best_obj:
                 best_obj = obj
                 incumbent.offer(tuple(x), obj)
-                if target is not None and incumbent.objective >= target:
-                    return
-                if obj >= total:
+                if incumbent.hit or obj >= total:
                     return
 
 
@@ -543,19 +536,19 @@ def _solve(model, budget, target=None):
     if target is not None and root_bound < target:
         return done((0,) * model.n, 0, PROVED_INFEASIBLE, 1)
     warm = greedy_warm_start(model)
-    incumbent = _Incumbent(warm.x, warm.objective)
-    if target is not None and incumbent.objective >= target:
+    incumbent = _Incumbent(warm.x, warm.objective, target)
+    if incumbent.hit:
         return done(incumbent.x, incumbent.objective, FEASIBLE_FOUND, 0)
     if incumbent.objective >= root_bound:  # with a target, root_bound >= target > incumbent
         return done(incumbent.x, incumbent.objective, OPTIMAL, 1)
-    search = _Search(model, lp, incumbent, deadline, target=target)
-    search.run(_lns_phase(model, incumbent, budget, deadline, target=target))
-    if search.target_hit:
-        status = FEASIBLE_FOUND
-    elif search.timed_out:
-        status = TIMEOUT
-    else:
+    search = _Search(model, lp, incumbent, deadline)
+    try:
+        search.run(_lns_phase(model, incumbent, budget, deadline))
         status = OPTIMAL if target is None else PROVED_INFEASIBLE
+    except BudgetExceededError:
+        status = TIMEOUT
+    if incumbent.hit:  # a rounded witness can precede a late root-group listing
+        status = FEASIBLE_FOUND
     return done(incumbent.x, incumbent.objective, status, search.nodes, search.symmetry)
 
 

@@ -157,6 +157,23 @@ def test_exclude_lists_found_witnesses_as_realized(capsys):
     assert rc == cli.EXIT_INCONCLUSIVE
 
 
+def test_condense_reads_a_field_spec_as_its_order(tmp_path, capsys):
+    spec, order = tmp_path / "spec.sys", tmp_path / "order.sys"
+    argv = ["condense", "--r", "3", "--out"]
+    assert cli.main(argv + [str(spec), "--field", "p=2 e=2 poly=1,1,1"]) == cli.EXIT_OK
+    assert cli.main(argv + [str(order), "--q", "4"]) == cli.EXIT_OK
+    assert spec.read_text() == order.read_text()
+    assert spec.read_text().startswith("ell=21 q=4 r=3\n")
+
+
+@pytest.mark.parametrize("fields", ([], ["--q", "5", "--field", "p=2 e=2 poly=1,1,1"]))
+def test_condense_needs_exactly_one_of_q_and_field(capsys, fields):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["condense", "--r", "2"] + fields)
+    assert exc.value.code == 2
+    assert "--q" in capsys.readouterr().err
+
+
 def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
@@ -171,6 +188,8 @@ def test_parser_is_built_once():
         ("ell=1 q=2 r=0\nw: 7\n3\n", "r=0 out of range 1..3"),
         ("ell=1 q=2 r=4\nw: 7\n3\n", "r=4 out of range 1..3"),
         ("ell=1 q=2 r=1\nw: 7\n3\n4 5 6\n", "more matrix rows than ell=1"),
+        ("ell=1 q=2 r=1\nw: x\n3\n", "line 2: expected integers, got 'x'"),
+        ("ell=1 q=2 r=1\nw: 7\n3 y\n", "line 3: expected integers, got '3 y'"),
     ),
 )
 def test_solve_rejects_malformed_systems(tmp_path, capsys, text, message):

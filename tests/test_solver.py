@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_cyclic_group
 from pgarcs import solver
 from pgarcs.arcs import load_corpus_arc
-from pgarcs.condense import condense, format_system, parse_system
+from pgarcs.condense import CondensedSystem, condense, format_system, parse_system
 from pgarcs.errors import BudgetExceededError
 from pgarcs.geometry import _normalized_triples
 from pgarcs.gf import Field
@@ -161,12 +161,12 @@ def test_solver_agrees_with_oracle_on_random_cyclic_groups(plane_for, q, seed, r
     # a bare branch and bound from an empty incumbent must branch, here
     # under the normalizer's symmetry
     search = _Search(model, _Lp(model), _Incumbent((0,) * model.n, 0), float("inf"))
-    search.run()
-    assert (search.timed_out, search.incumbent.objective) == (False, opt)
+    search.run()  # raises BudgetExceededError on a timeout
+    assert search.incumbent.objective == opt
     assert model.check_feasible(search.incumbent.x)
-    proof = _Search(model, _Lp(model), _Incumbent((0,) * model.n, 0), float("inf"), target=opt + 1)
+    proof = _Search(model, _Lp(model), _Incumbent((0,) * model.n, 0, opt + 1), float("inf"))
     proof.run()
-    assert (proof.timed_out, proof.target_hit) == (False, False)
+    assert not proof.incumbent.hit
 
 
 def test_q7_involution_class_proved_infeasible(plane_for):
@@ -379,8 +379,7 @@ def test_search_branches_to_the_optimum_without_lp_optima(plane_for):
     lp.highs.setOptionValue("simplex_iteration_limit", 0)
     assert lp.solve() == (sum(model.w), None)
     search = _Search(model, lp, _Incumbent((0,) * model.n, 0), float("inf"))
-    search.run()
-    assert not search.timed_out
+    search.run()  # raises BudgetExceededError on a timeout
     assert search.incumbent.objective == exhaustive_oracle(model).objective
     assert model.check_feasible(search.incumbent.x)
 
@@ -396,7 +395,7 @@ def lns_trajectory(model, budget, target=None):
             return super().offer(x, objective)
 
     warm = greedy_warm_start(model)
-    for _ in _lns_phase(model, Recording(warm.x, warm.objective), budget, float("inf"), target=target):
+    for _ in _lns_phase(model, Recording(warm.x, warm.objective, target), budget, float("inf")):
         pass
     return offers
 
@@ -433,6 +432,10 @@ def tap_lns(monkeypatch):
         @property
         def objective(self):
             return self.incumbent.objective
+
+        @property
+        def hit(self):
+            return self.incumbent.hit
 
         def offer(self, x, objective):
             offers.append((tuple(x), objective))
@@ -477,9 +480,9 @@ def test_an_lns_witness_stops_the_search(plane_for, monkeypatch):
     assert offers[-1] == (sol.x, 29)
     assert len(steps) <= model.n * (sol.nodes_explored + 1)
     warm = greedy_warm_start(model)
-    alone = _Search(model, _Lp(model), _Incumbent(warm.x, warm.objective), float("inf"), target=29)
+    alone = _Search(model, _Lp(model), _Incumbent(warm.x, warm.objective, 29), float("inf"))
     alone.run()
-    assert alone.target_hit and alone.nodes == 34
+    assert alone.incumbent.hit and alone.nodes == 34
 
 
 def test_orbital_branching_shrinks_the_q7_involution_proof(plane_for):
@@ -518,8 +521,23 @@ def test_symmetry_listing_honours_the_deadline(plane_for, monkeypatch):
     fresh = full_plane_model(plane_for, 3, 2)
     monkeypatch.setattr(fresh, "symmetry", late)
     search = _Search(fresh, _Lp(fresh), _Incumbent((0,) * fresh.n, 0), float("inf"))
-    search.run()
-    assert search.timed_out and search.nodes == 1
+    with pytest.raises(BudgetExceededError):
+        search.run()
+    assert search.nodes == 1
+
+
+def test_a_late_normalizer_listing_makes_the_solve_a_timeout(plane_for, monkeypatch):
+    # the one place a passed deadline becomes a status: the root branches,
+    # the listing raises, and the solve reports Timeout after that node
+    model = full_plane_model(plane_for, 3, 2)
+
+    def late(deadline):
+        raise BudgetExceededError("deadline passed while listing the normalizer")
+
+    monkeypatch.setattr(model, "symmetry", late)
+    sol = solve_feasible(model, target=5)
+    assert (sol.status, sol.nodes_explored, sol.symmetry) == (TIMEOUT, 1, 1)
+    assert model.check_feasible(sol.x) and model.objective(sol.x) == sol.objective
 
 
 # (q, r, generator, target) -> (status, objective, nodes_explored, symmetry)
@@ -542,6 +560,13 @@ def test_return_paths_keep_their_status_and_counts(plane_for, path):
     sol = solve_max(model) if target is None else solve_feasible(model, target)
     assert (sol.status, sol.objective, sol.nodes_explored, sol.symmetry) == want
     assert model.check_feasible(sol.x) and model.objective(sol.x) == sol.objective
+
+
+@pytest.mark.parametrize("A", (((1,), (1,)), ((1, 1),)))
+def test_a_model_has_one_row_and_one_column_per_orbit(A):
+    # every row shares the one bound r, so a model must be ell x ell
+    with pytest.raises(ValueError, match="not ell x ell"):
+        IlpModel(CondensedSystem(ell=1, A=A, w=(1,), r=1, q=2))
 
 
 def test_a_solve_accepts_only_one_thread(plane_for):
