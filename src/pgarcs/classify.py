@@ -13,10 +13,13 @@ scalars), and projecting those labels modulo scalars yields exactly one
 generator per conjugacy class of PGL(3,q).  For each representative the
 sweep condenses the plane by the generated cyclic group, asks the solver
 whether any selection reaches the target size n, and combines the
-per-class outcomes into a rigidity verdict.  An arc invariant under <g>
-is invariant under every subgroup, so a class is recorded as excluded,
-with the solved class in `implied_by`, when <g> or one of its
-prime-order subgroups is conjugate to an excluded one.
+per-class outcomes into a rigidity verdict.  A witness the solver
+reports is expanded to the full plane and checked as an (n,r)-arc before
+its class counts as realized.  An arc invariant under <g> is invariant
+under every subgroup, so a class is recorded as excluded, with the
+solved class in `implied_by`, when <g> or one of its prime-order
+subgroups is conjugate to an excluded one.  A checkpoint file is keyed
+by q, r and n; one with another key is refused, never overwritten.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
-from .condense import condense
+from .arcs import Arc, verify_arc
+from .condense import condense, expand_solution
 from .errors import BudgetExceededError
 from .geometry import build_plane
 from .gf import Field, is_prime
@@ -268,6 +272,10 @@ def _solve_class(plane, rep, r, n, budget):
     od = orbits(plane, group)
     cs = condense(plane, od, r)
     sol = solve_feasible(IlpModel(cs), target=n, budget=budget)
+    if sol.status == FEASIBLE_FOUND:
+        found = verify_arc(Arc(plane, expand_solution(plane, od, sol.x)))
+        if found.n < n or found.max_multiplicity > r:
+            raise RuntimeError(f"class {rep.class_id}: the witness is no ({n},{r})-arc: {found}")
     rec = _record(rep, budget, sol.status)
     rec.update(ell=cs.ell, objective=sol.objective, nodes=sol.nodes_explored, symmetry=sol.symmetry)
     rec["time"] = round(time.monotonic() - t0, 3)
@@ -290,12 +298,20 @@ def _excluded_subgroup(spec, rep, by_label, solved_source):
 
 
 def _load_checkpoint(path, key):
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            data = json.load(fh)
-        if data.get("key") == key:
-            return {int(k): v for k, v in data.get("classes", {}).items()}
-    return {}
+    """The records a checkpoint holds for the sweep `key`, with the fields
+    older records lack; a file from another sweep is refused, not replaced."""
+    if not (path and os.path.exists(path)):
+        return {}
+    with open(path) as fh:
+        data = json.load(fh)
+    if data.get("key") != key:
+        raise ValueError(f"checkpoint {path} is for sweep {data.get('key')!r}, not {key!r}")
+    records = {int(k): v for k, v in data.get("classes", {}).items()}
+    for rec in records.values():
+        rec.setdefault("symmetry", 1)  # written before the search used any
+        rec.setdefault("implied_by", None)  # written before the sweep implied any
+        rec.setdefault("budget", None)  # written before records held it; retried on Timeout
+    return records
 
 
 def _save_checkpoint(path, key, records):
@@ -319,33 +335,32 @@ def run_exclusion(
     class and derive the rigidity verdict.
 
     A class whose system provably cannot reach n points is excluded, one
-    whose system reaches n is realized, and a timeout (or an explicit
-    skip) leaves it undecided.  All classes excluded gives
-    RigidOrNonexistent; any realized or undecided class downgrades to
-    RigidOrListedGroups; no exclusions at all is Inconclusive.  Timeouts
-    are recorded, never raised.  Classes go in id order, so by projective
-    order.  A class is excluded without a solve, its record naming the
-    solved class in `implied_by` (None on solved records), when an
-    excluded class generates a conjugate of <g> or of <g^(m/d)>, d a prime
-    dividing the order m; realized, timed-out and skipped classes imply
-    nothing.  With a checkpoint path, records, each with its budget, are
-    flushed after every class with the tool version and reused on resume,
-    except a Timeout under a smaller budget.  `progress` gets every new
-    record.  Classes are solved one at a time, so `threads` must be 1;
-    the keyword is kept because callers, the benchmark among them, pass
-    threads=1.
+    whose system reaches n is realized (a witness that is no (n,r)-arc
+    raises RuntimeError), and a timeout (or an explicit skip) leaves it
+    undecided.  All classes excluded gives RigidOrNonexistent; any
+    realized or undecided class downgrades to RigidOrListedGroups; no
+    exclusions at all is Inconclusive.  Timeouts are recorded, never
+    raised.  Classes go in id order, so by projective order.  A class is
+    excluded without a solve, its record naming the solved class in
+    `implied_by` (None on solved records), when an excluded class
+    generates a conjugate of <g> or of <g^(m/d)>, d a prime dividing the
+    order m; realized, timed-out and skipped classes imply nothing.  With
+    a checkpoint path, records, each with its budget, are flushed after
+    every class with the tool version and reused on resume, except a
+    Timeout under a smaller budget; a file with another sweep's key, or
+    none, raises ValueError.  `progress` gets every new record.  Classes
+    are solved one at a time, so `threads` must be 1; the keyword is kept
+    because callers, the benchmark among them, pass threads=1.
     """
     if threads != 1:
         raise ValueError(f"threads={threads}: the sweep solves one class at a time")
+    if n < 1:
+        raise ValueError(f"n={n}: the target must be at least 1")
     classes = enumerate_cyclic_classes(p)
     plane = build_plane(Field(p))
     skip = set(skip)
     key = f"q={p} r={r} n={n}"
     records = _load_checkpoint(checkpoint, key)
-    for rec in records.values():
-        rec.setdefault("symmetry", 1)  # written before the search used any
-        rec.setdefault("implied_by", None)  # written before the sweep implied any
-        rec.setdefault("budget", None)  # written before records held it; retried on Timeout
     by_label = {rep.label: rep for rep in classes}
     solved_source = {}  # signature of an excluded subgroup -> the solved class behind it
     ordered = []

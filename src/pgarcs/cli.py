@@ -1,19 +1,23 @@
 """Command-line front end.
 
 Subcommands: verify, condense, solve, exclude, classify, code, tables.
-Reports are JSON (or a key/value block for solve) and carry the tool
-version, the field spec, and sha256 digests of the input files, so long
-runs stay attributable.  exclude streams one line per class to stderr:
+Every report is one JSON object (indented, sorted keys) carrying the
+tool version, the field spec and sha256 digests of the input files, so
+long runs stay attributable; it goes to --out or stdout.  condense and
+classify also make an artifact (the system, the class list), which goes
+to --out or stdout, the report then going to stdout or stderr.  exclude
+streams one line per class to stderr:
 ``class <id> order <m> ell <ell>: <status> nodes=<k> time=<s>`` for a
 solved class (no time= with --deterministic), and ``class <id> order
 <m>: ProvedInfeasible implied by class <src>`` for a class excluded by
-the solve of class src.  Exit codes: 0 success, 2 timeout or
-inconclusive, 1 error; exclude exits 2 when any class is undecided
-(Timeout or Skipped), so 0 means every class is excluded or realized.
-With --deterministic all timing fields are omitted, making reports
-byte-identical across runs of a search that ends within its budget; a
-search cut by its budget reports a nodes= count bounded by the wall
-clock.
+the solve of class src.  --deterministic drops the report's ``time``
+and every class record's, so reports are byte-identical across runs of
+a search that ends within its budget; a search cut by its budget
+reports a node count bounded by the wall clock.  Exit codes: 1 an error
+(``error: ...`` on stderr) or a failed verify or tables check; 2 a solve
+timeout, or an exclude sweep with a class undecided (Timeout or
+Skipped) or none excluded (verdict Inconclusive, as when every class is
+realized); 0 otherwise.
 """
 
 from __future__ import annotations
@@ -74,29 +78,6 @@ def _meta(field=None, inputs=()):
     return meta
 
 
-def _write(text, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json(report):
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def _emit(report, out):
-    _write(_json(report), out)
-
-
-def _emit_artifact(text, summary, out):
-    """The artifact to --out and the summary to stdout, or the artifact to
-    stdout and the summary to stderr."""
-    _write(text, out)
-    (sys.stdout if out else sys.stderr).write(_json(summary))
-
-
 def cmd_verify(args):
     pa = parse_arc_file(_read(args.arcfile))
     group, convention = pa.group, pa.convention
@@ -108,9 +89,8 @@ def cmd_verify(args):
     report["r_claimed"] = pa.arc.r_claimed
     inputs = [args.arcfile] + ([args.group] if args.group else [])
     report["meta"] = _meta(pa.spec, inputs)
-    _emit(report, args.out)
     ok = report["is_arc_for_claimed_r"] and report["group_admitted"] in (None, True)
-    return EXIT_OK if ok else EXIT_ERROR
+    return (EXIT_OK if ok else EXIT_ERROR), report, None
 
 
 def cmd_condense(args):
@@ -127,8 +107,7 @@ def cmd_condense(args):
         "orbit_length_histogram": {str(k): v for k, v in sorted(hist.items())},
         "meta": _meta(spec, [args.group] if args.group else []),
     }
-    _emit_artifact(format_system(cs), summary, args.out)
-    return EXIT_OK
+    return EXIT_OK, summary, format_system(cs)
 
 
 def cmd_solve(args):
@@ -138,21 +117,18 @@ def cmd_solve(args):
         sol = solve_feasible(model, target=args.target, budget=args.budget)
     else:
         sol = solve_max(model, budget=args.budget)
-    lines = [
-        f"version={__version__}",
-        f"input_sha256={_digest(args.system)}",
-        f"q={cs.q}",
-        f"r={cs.r}",
-        f"ell={cs.ell}",
-        f"status={sol.status}",
-        f"objective={sol.objective}",
-        "x=" + "".join(str(v) for v in sol.x),
-        f"nodes={sol.nodes_explored}",
-    ]
-    if not args.deterministic:
-        lines.append(f"time={sol.wall_time:.3f}")
-    _write("\n".join(lines) + "\n", args.out)
-    return EXIT_INCONCLUSIVE if sol.status == TIMEOUT else EXIT_OK
+    report = {
+        "q": cs.q,
+        "r": cs.r,
+        "ell": cs.ell,
+        "status": sol.status,
+        "objective": sol.objective,
+        "x": "".join(str(v) for v in sol.x),
+        "nodes": sol.nodes_explored,
+        "time": round(sol.wall_time, 3),
+        "meta": _meta(inputs=[args.system]),
+    }
+    return (EXIT_INCONCLUSIVE if sol.status == TIMEOUT else EXIT_OK), report, None
 
 
 def cmd_exclude(args):
@@ -177,12 +153,8 @@ def cmd_exclude(args):
         progress=progress,
     )
     payload = report.to_dict()
-    if args.deterministic:
-        for rec in payload["classes"]:
-            rec.pop("time", None)
     payload["meta"] = _meta(field_for_order(args.q))
-    _emit(payload, args.out)
-    return EXIT_INCONCLUSIVE if report.undecided or report.verdict == VERDICT_INCONCLUSIVE else EXIT_OK
+    return (EXIT_INCONCLUSIVE if report.undecided or report.verdict == VERDICT_INCONCLUSIVE else EXIT_OK), payload, None
 
 
 def cmd_classify(args):
@@ -194,8 +166,7 @@ def cmd_classify(args):
         "cyclic_subgroup_classes": subgroup_class_count(classes),
         "meta": _meta(field_for_order(args.q)),
     }
-    _emit_artifact(format_class_list(classes), payload, args.out)
-    return EXIT_OK
+    return EXIT_OK, payload, format_class_list(classes)
 
 
 def cmd_code(args):
@@ -211,8 +182,7 @@ def cmd_code(args):
         "n_minus_r": rep.n - rep.max_multiplicity,
         "meta": _meta(pa.spec, [args.arcfile]),
     }
-    _emit(payload, args.out)
-    return EXIT_OK
+    return EXIT_OK, payload, None
 
 
 def cmd_tables(args):
@@ -234,8 +204,7 @@ def cmd_tables(args):
         "all_verified": all_ok,
         "meta": _meta(),
     }
-    _emit(payload, args.out)
-    return EXIT_OK if all_ok else EXIT_ERROR
+    return (EXIT_OK if all_ok else EXIT_ERROR), payload, None
 
 
 @functools.cache
@@ -245,32 +214,33 @@ def build_parser():
         description="Construct, verify and bound (n,r)-arcs in PG(2,q).",
     )
     ap.add_argument("--version", action="version", version=f"pgarcs {__version__}")
+    ap.set_defaults(deterministic=False)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the report (or the artifact) here instead of stdout")
     sub = ap.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, parents=[out])
 
-    p = sub.add_parser("verify", help="verify an arc file, optionally with a group")
+    p = add("verify", help="verify an arc file, optionally with a group")
     p.add_argument("arcfile")
     p.add_argument("--group", help="separate group file to check admission against")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("condense", help="build the orbit-condensed system")
+    p = add("condense", help="build the orbit-condensed system")
     field = p.add_mutually_exclusive_group(required=True)
     field.add_argument("--q", type=int)
     field.add_argument("--field", help="field spec string, e.g. 'p=5 e=2 poly=2,1,1'")
     p.add_argument("--group", help="generator file; omit for the trivial group")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_condense)
 
-    p = sub.add_parser("solve", help="run the branch-and-bound solver on a system file")
+    p = add("solve", help="run the branch-and-bound solver on a system file")
     p.add_argument("--system", required=True)
     p.add_argument("--target", type=int, help="stop at this objective (feasibility mode)")
     p.add_argument("--budget", type=float, default=60.0)
     p.add_argument("--deterministic", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("exclude", help="automorphism exclusion sweep for prime q")
+    p = add("exclude", help="automorphism exclusion sweep for prime q")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -278,21 +248,17 @@ def build_parser():
     p.add_argument("--skip", help="comma-separated class ids to skip")
     p.add_argument("--resume", help="checkpoint file; per-class results are reused")
     p.add_argument("--deterministic", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_exclude)
 
-    p = sub.add_parser("classify", help="enumerate cyclic conjugacy classes for prime q")
+    p = add("classify", help="enumerate cyclic conjugacy classes for prime q")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("code", help="linear-code parameters [n, 3, d] of an arc")
+    p = add("code", help="linear-code parameters [n, 3, d] of an arc")
     p.add_argument("arcfile")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_code)
 
-    p = sub.add_parser("tables", help="cross-check bundled arcs against the bounds table")
-    p.add_argument("--out")
+    p = add("tables", help="cross-check bundled arcs against the bounds table")
     p.set_defaults(func=cmd_tables)
 
     return ap
@@ -301,7 +267,20 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, report, artifact = args.func(args)
+        if args.deterministic:
+            for rec in [report, *report.get("classes", ())]:
+                rec.pop("time", None)
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        first, summary = (text, None) if artifact is None else (artifact, text)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(first)
+        else:
+            sys.stdout.write(first)
+        if summary is not None:
+            (sys.stdout if args.out else sys.stderr).write(summary)
+        return code
     except (ParseError, BudgetExceededError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR

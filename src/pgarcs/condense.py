@@ -123,33 +123,39 @@ def format_system(system: CondensedSystem) -> str:
     return "\n".join(out) + "\n"
 
 
-def _integers(lineno, text):
+def _integers(lineno, text, ell, what):
+    """The ell integers of a line of text; `what` names them in an error."""
     try:
-        return tuple(int(v) for v in text.split())
+        values = tuple(int(v) for v in text.split())
     except ValueError:
         raise ParseError(f"expected integers, got {text.strip()!r}", lineno) from None
+    if len(values) != ell:
+        raise ParseError(f"{len(values)} {what}, expected ell={ell}", lineno)
+    return values
 
 
 def parse_system(text: str) -> CondensedSystem:
-    """The inverse of `format_system`; ``#`` starts a comment."""
+    """The inverse of `format_system`; ``#`` starts a comment.  An error in
+    the header, the weights or a matrix row names its line."""
     lines = list(text_lines(text))
     if not lines:
         raise ParseError("empty condensed system")
-    header = key_values(lines[0][1])
+    at, head = lines[0]
+    header = key_values(head, at)
     for key in ("ell", "q", "r"):
         if key not in header:
-            raise ParseError(f"header has no {key}=")
-    ell, q, r = (header_int(header, key) for key in ("ell", "q", "r"))
+            raise ParseError(f"header has no {key}=", at)
+    ell, q, r = (header_int(header, key, dict.fromkeys(header, at)) for key in ("ell", "q", "r"))
     if ell < 1:
-        raise ParseError(f"ell={ell} must be at least 1")
+        raise ParseError(f"ell={ell} must be at least 1", at)
     if not 1 <= r <= q + 1:
-        raise ParseError(f"r={r} out of range 1..{q + 1}")
+        raise ParseError(f"r={r} out of range 1..{q + 1}", at)
     if len(lines) < 2 or not lines[1][1].startswith("w:"):
         raise ParseError("missing weight line")
     if len(lines) > 2 + ell:
         raise ParseError(f"more matrix rows than ell={ell}")
-    w = _integers(lines[1][0], lines[1][1][2:])
-    A = tuple(_integers(*line) for line in lines[2:])
-    if len(w) != ell or len(A) != ell or any(len(row) != ell for row in A):
-        raise ParseError("condensed system dimensions do not match header")
+    w = _integers(lines[1][0], lines[1][1][2:], ell, "weights")
+    A = tuple(_integers(lineno, row, ell, "entries in a matrix row") for lineno, row in lines[2:])
+    if len(A) != ell:
+        raise ParseError(f"{len(A)} matrix rows, expected ell={ell}")
     return CondensedSystem(ell=ell, A=A, w=w, r=r, q=q)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from pgarcs import __version__
+from pgarcs import __version__, classify
 from pgarcs.classify import (
     canonical_label,
     enumerate_cyclic_classes,
@@ -19,7 +19,7 @@ from pgarcs.condense import condense
 from pgarcs.geometry import build_plane
 from pgarcs.gf import Field, is_prime
 from pgarcs.group import char_poly, closure, compose, inverse, make_element, orbits, scalar_powers
-from pgarcs.solver import IlpModel, solve_feasible
+from pgarcs.solver import FEASIBLE_FOUND, IlpModel, Solution, solve_feasible
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
@@ -222,3 +222,13 @@ def test_a_checkpointed_involution_implies_every_even_order_class(tmp_path):
     assert (saved["key"], saved["version"]) == ("q=5 r=2 n=7", __version__)
     assert saved["classes"][str(involution)] == {**rec, "symmetry": 1, "implied_by": None, "budget": None}
     assert all(c["budget"] == 10 for i, c in saved["classes"].items() if i != str(involution))
+
+
+def test_a_witness_that_is_no_arc_stops_the_sweep(monkeypatch):
+    # every orbit selected is the whole plane: 31 points, but 6 on each line
+    def every_orbit(model, target, budget):
+        return Solution(x=(1,) * model.n, objective=target, status=FEASIBLE_FOUND)
+
+    monkeypatch.setattr(classify, "solve_feasible", every_orbit)
+    with pytest.raises(RuntimeError, match=r"class 1: the witness is no \(6,2\)-arc"):
+        run_exclusion(5, 2, 6, budget_per_class=10)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -25,9 +26,15 @@ def test_solve_deterministic_replays(tmp_path, capsys):
     assert first == run(capsys, argv)
     rc, out, _ = first
     assert rc == cli.EXIT_OK
-    fields = dict(line.split("=", 1) for line in out.splitlines())
-    assert (fields["ell"], fields["status"], fields["objective"]) == ("13", "Optimal", "4")
-    assert "time" not in fields
+    report = json.loads(out)
+    assert (report["ell"], report["status"], report["objective"]) == (13, "Optimal", 4)
+    assert "time" not in report
+    assert report["meta"]["inputs"] == {str(system): hashlib.sha256(system.read_bytes()).hexdigest()}
+    # without the flag the same report carries the solve's time
+    rc, out, _ = run(capsys, argv[:-1])
+    timed = json.loads(out)
+    assert rc == cli.EXIT_OK and timed["time"] >= 0
+    assert {k: v for k, v in timed.items() if k != "time"} == report
 
 
 # m_r(2,q) of the full plane, no group: 2^(q^2+q+1) point sets at most
@@ -37,11 +44,11 @@ def test_condense_then_solve_matches_the_exhaustive_oracle(tmp_path, capsys, q, 
     assert cli.main(["condense", "--q", str(q), "--r", str(r), "--out", str(system)]) == cli.EXIT_OK
     capsys.readouterr()
     rc, out, _ = run(capsys, ["solve", "--system", str(system), "--deterministic"])
-    fields = dict(line.split("=", 1) for line in out.splitlines())
-    assert (rc, fields["status"]) == (cli.EXIT_OK, "Optimal")
+    report = json.loads(out)
+    assert (rc, report["status"]) == (cli.EXIT_OK, "Optimal")
     model = IlpModel(parse_system(system.read_text()))
-    assert int(fields["objective"]) == exhaustive_oracle(model).objective == optimum
-    x = tuple(int(v) for v in fields["x"])
+    assert report["objective"] == exhaustive_oracle(model).objective == optimum
+    x = tuple(int(v) for v in report["x"])
     assert model.check_feasible(x) and model.objective(x) == optimum
 
 
@@ -157,6 +164,43 @@ def test_exclude_lists_found_witnesses_as_realized(capsys):
     assert rc == cli.EXIT_INCONCLUSIVE
 
 
+def test_exclude_with_no_exclusion_is_inconclusive(capsys):
+    # r = q + 1: the whole plane is a (13,4)-arc, so every class is realized
+    rc, out, _ = run(capsys, ["exclude", "--q", "3", "--r", "4", "--n", "13", "--deterministic"])
+    report = json.loads(out)
+    assert (rc, report["verdict"], len(report["realized"])) == (cli.EXIT_INCONCLUSIVE, "Inconclusive", 11)
+    assert report["excluded"] == report["undecided"] == []
+
+
+def test_exclude_needs_a_positive_target(capsys):
+    rc, out, err = run(capsys, ["exclude", "--q", "3", "--r", "2", "--n", "0"])
+    assert (rc, out, err) == (cli.EXIT_ERROR, "", "error: n=0: the target must be at least 1\n")
+
+
+def test_exclude_refuses_the_checkpoint_of_another_sweep(tmp_path, capsys):
+    path = tmp_path / "checkpoint.json"
+    argv = ["exclude", "--q", "5", "--r", "2", "--budget-per-class", "10", "--deterministic", "--resume", str(path)]
+    assert run(capsys, argv + ["--n", "7"])[0] == cli.EXIT_OK
+    saved = path.read_bytes()
+    assert len(json.loads(saved)["classes"]) == 29
+    rc, out, err = run(capsys, argv + ["--n", "6"])
+    assert (rc, out) == (cli.EXIT_ERROR, "")
+    assert err == f"error: checkpoint {path} is for sweep 'q=5 r=2 n=7', not 'q=5 r=2 n=6'\n"
+    assert path.read_bytes() == saved
+    # a file with no key is refused the same way
+    path.write_text(json.dumps({"classes": {}}))
+    rc, out, err = run(capsys, argv + ["--n", "7"])
+    assert (rc, out, err) == (cli.EXIT_ERROR, "", f"error: checkpoint {path} is for sweep None, not 'q=5 r=2 n=7'\n")
+    assert path.read_text() == json.dumps({"classes": {}})
+
+
+@pytest.mark.parametrize("argv", (["tables"], ["condense", "--q", "3", "--r", "2"]))
+def test_out_into_a_missing_directory_is_an_error(tmp_path, capsys, argv):
+    rc, out, err = run(capsys, argv + ["--out", str(tmp_path / "missing" / "report")])
+    assert (rc, out) == (cli.EXIT_ERROR, "")
+    assert err.startswith("error: [Errno 2] No such file or directory")
+
+
 def test_condense_reads_a_field_spec_as_its_order(tmp_path, capsys):
     spec, order = tmp_path / "spec.sys", tmp_path / "order.sys"
     argv = ["condense", "--r", "3", "--out"]
@@ -182,14 +226,21 @@ def test_parser_is_built_once():
     ("text", "message"),
     (
         ("", "empty condensed system"),
-        ("ell=1 q=2\nw: 1\n3\n", "header has no r="),
+        ("ell=1 q=2\nw: 1\n3\n", "line 1: header has no r="),
         ("ell=1 q=2 r=1\n3\n", "missing weight line"),
-        ("ell=0 q=2 r=1\nw:\n", "ell=0 must be at least 1"),
-        ("ell=1 q=2 r=0\nw: 7\n3\n", "r=0 out of range 1..3"),
-        ("ell=1 q=2 r=4\nw: 7\n3\n", "r=4 out of range 1..3"),
+        ("ell=0 q=2 r=1\nw:\n", "line 1: ell=0 must be at least 1"),
+        ("ell=1 q=2 r=0\nw: 7\n3\n", "line 1: r=0 out of range 1..3"),
+        ("ell=1 q=2 r=4\nw: 7\n3\n", "line 1: r=4 out of range 1..3"),
         ("ell=1 q=2 r=1\nw: 7\n3\n4 5 6\n", "more matrix rows than ell=1"),
         ("ell=1 q=2 r=1\nw: x\n3\n", "line 2: expected integers, got 'x'"),
         ("ell=1 q=2 r=1\nw: 7\n3 y\n", "line 3: expected integers, got '3 y'"),
+        # a header, weight or row error names its own line, blank lines counted
+        ("\n\nell=1 q=2 r=x\nw: 7\n3\n", "line 3: bad r value 'x'"),
+        ("\n\nell=1 q=2\nw: 7\n3\n", "line 3: header has no r="),
+        ("\n\nell=1 q=2 r=1 7\nw: 7\n3\n", "line 3: expected key=value, got '7'"),
+        ("ell=2 q=2 r=1\n\nw: 7\n3 0\n0 3\n", "line 3: 1 weights, expected ell=2"),
+        ("ell=2 q=2 r=1\nw: 1 6\n3 0\n3\n", "line 4: 1 entries in a matrix row, expected ell=2"),
+        ("ell=2 q=2 r=1\nw: 1 6\n3 0\n", "1 matrix rows, expected ell=2"),
     ),
 )
 def test_solve_rejects_malformed_systems(tmp_path, capsys, text, message):
