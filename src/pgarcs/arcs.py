@@ -3,10 +3,11 @@ view of an arc.
 
 An arc is a set of point indices in a plane; the verifier reports n, the
 maximum number of selected points on a line (the observed r), and how
-many lines attain it.  Taking the n points as columns of a 3 x n matrix
-over GF(q) generates a projective linear code of length n, dimension 3
-and minimum distance n - r; min_distance recomputes the distance by
-exhaustive codeword enumeration so the two views can be cross-checked.
+many lines attain it.  The n points, as the columns of a 3 x n matrix G
+over GF(q), generate a projective linear [n, 3, n - r] code; min_distance
+finds its distance from the field tables alone, never the incidence, so
+the two views cross-check: symbol j of the message (1,b,c) is zero
+exactly when c*G[2][j] = -(G[0][j] + b*G[1][j]).
 
 `CORPUS` lists the bundled reference arcs.  It is read, on import, from
 the improved-bounds table ``data/bounds_improved.tsv``, whose rows name
@@ -22,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ParseError
-from .geometry import Plane, _normalized_triples, build_plane
+from .geometry import Plane, build_plane
 from .gf import Field, field_from_header, header_int, text_lines
 from .group import (
     Group,
@@ -102,15 +103,13 @@ def verify_arc(arc: Arc, group: Group | None = None) -> ArcReport:
     sel[pts] = True
     mult = sel[arc.plane.incidence].sum(axis=1)
     rmax = int(mult.max())
-    report = ArcReport(
+    return ArcReport(
         n=len(pts),
         max_multiplicity=rmax,
         lines_at_max=int((mult == rmax).sum()),
         is_arc_for_claimed_r=(arc.r_claimed is None or rmax == arc.r_claimed),
+        group_admitted=None if group is None else admits_group(arc, group),
     )
-    if group is not None:
-        report.group_admitted = admits_group(arc, group)
-    return report
 
 
 def admits_group(arc: Arc, group: Group) -> bool:
@@ -155,25 +154,22 @@ def to_generator_matrix(arc: Arc):
 
 
 def min_distance(spec: Field, gen) -> int:
-    """Minimum Hamming weight over all nonzero codewords of the code
-    generated by the 3 x n matrix, by exhaustive message enumeration.
-
-    Scalar multiples share a weight, so one message per projective class
-    covers all q^3 - 1 nonzero messages; they are taken 64 at a time.  A
-    zero-weight message is orthogonal to every column, which happens
-    exactly when the matrix has rank below 3.
-    """
+    """Minimum Hamming weight of the code the 3 x n matrix G generates,
+    over one message per projective class: (1,b,c), (0,1,c), (0,0,1).
+    Symbol j of (1,b,c) is zero exactly when c*G[2][j] = -s[j], where
+    s = G[0] + b*G[1] (s = G[1] for (0,1,c)), so one comparison of the
+    q x n table c*G[2] with -s counts the zeros of all q messages of s.
+    Weight 0, a message orthogonal to every column, means rank < 3."""
     G = np.array(gen, dtype=np.int16)
-    M = np.array(_normalized_triples(spec.q), dtype=np.int16)
     add, mul = spec.add_np, spec.mul_np
-    d = G.shape[1]
-    for i in range(0, len(M), 64):  # blocks of messages bound the peak memory
-        B = M[i : i + 64]
-        words = add[add[mul[B[:, 0]][:, G[0]], mul[B[:, 1]][:, G[1]]], mul[B[:, 2]][:, G[2]]]
-        d = min(d, int((words != 0).sum(axis=1).min()))
-    if d == 0:
+    neg = mul[spec.p - 1]  # -a = (-1).a
+    T = mul[:, G[2]]
+    zeros = int((G[2] == 0).sum())  # the message (0,0,1)
+    for s in (*add[G[0], mul[:, G[1]]], G[1]):
+        zeros = max(zeros, int((T == neg[s]).sum(axis=1).max()))
+    if zeros == len(G[0]):
         raise ValueError("generator matrix must have rank 3")
-    return d
+    return len(G[0]) - zeros
 
 
 @dataclass
@@ -200,6 +196,7 @@ def parse_arc_file(text: str, plane: Plane | None = None) -> ParsedArc:
     any nonzero multiple names its point.  When a group is present the
     loader checks that it stabilizes the arc under the column action and
     falls back to the transposed action, recording which one succeeded.
+    A given plane is used only when it lies over the file's field.
     """
     header, at = {}, {}  # key -> value, key -> its line
     block = []  # the group block's (line number, text) pairs
@@ -227,10 +224,8 @@ def parse_arc_file(text: str, plane: Plane | None = None) -> ParsedArc:
     r = header_int(header, "r", at)
     spec = field_from_header(header, at)
 
-    if plane is None:
+    if plane is None or plane.spec != spec:
         plane = build_plane(spec)
-    elif plane.spec != spec:
-        raise ValueError("supplied plane does not match the file's field")
 
     q = spec.q
     indices = []

@@ -299,14 +299,21 @@ def _excluded_subgroup(spec, rep, by_label, solved_source):
 
 def _load_checkpoint(path, key):
     """The records a checkpoint holds for the sweep `key`, with the fields
-    older records lack; a file from another sweep is refused, not replaced."""
+    older records lack; a file from another sweep, or of another shape,
+    is refused with a ValueError naming it, not replaced."""
     if not (path and os.path.exists(path)):
         return {}
     with open(path) as fh:
         data = json.load(fh)
+    classes = data.get("classes", {}) if isinstance(data, dict) else None
+    if not isinstance(classes, dict):
+        raise ValueError(f"checkpoint {path} is not a JSON object with a 'classes' object")
     if data.get("key") != key:
         raise ValueError(f"checkpoint {path} is for sweep {data.get('key')!r}, not {key!r}")
-    records = {int(k): v for k, v in data.get("classes", {}).items()}
+    for k, rec in classes.items():
+        if not (k.isdecimal() and isinstance(rec, dict) and {"id", "status"} <= rec.keys()):
+            raise ValueError(f"checkpoint {path}: class {k!r} is not an integer id with an id and status record")
+    records = {int(k): v for k, v in classes.items()}
     for rec in records.values():
         rec.setdefault("symmetry", 1)  # written before the search used any
         rec.setdefault("implied_by", None)  # written before the sweep implied any

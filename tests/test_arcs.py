@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from pgarcs.arcs import (
 from pgarcs.condense import compress_arc
 from pgarcs.errors import NotAdmittedError, ParseError
 from pgarcs.geometry import _normalized_triples
+from pgarcs.gf import Field, field_for_order
 from pgarcs.group import closure, conjugate_group, make_element, orbits
 
 
@@ -133,9 +135,61 @@ def test_min_distance_full_fano(plane_for):
     assert min_distance(plane.spec, to_generator_matrix(arc)) == 4
 
 
-def test_min_distance_corpus_39():
-    pa = load_corpus_arc("q25_r3_n39.arc")
-    assert min_distance(pa.spec, to_generator_matrix(pa.arc)) == 36
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_min_distance_is_n_minus_r_on_the_corpus(name):
+    _, r, n, _ = CORPUS[name]
+    pa = load_corpus_arc(name)
+    assert min_distance(pa.spec, to_generator_matrix(pa.arc)) == n - r
+
+
+def brute_force_distance(spec, gen):
+    """The least weight of a nonzero codeword over all q^3 - 1 messages,
+    in the field's tuple tables; 0 when the matrix has rank below 3."""
+    add, mul = spec.add_t, spec.mul_t
+    return min(
+        sum(1 for x, y, z in zip(*gen) if add[add[mul[a][x]][mul[b][y]]][mul[c][z]])
+        for a, b, c in itertools.product(range(spec.q), repeat=3)
+        if a or b or c
+    )
+
+
+def random_generator_matrix(spec, rng):
+    """3 x n, 1 <= n <= 12, with zero columns, repeated (and rescaled)
+    columns, and, one time in four, a third row in the span of the
+    first two, so that rank 3 is impossible."""
+    q = spec.q
+    cols = []
+    for _ in range(rng.randint(1, 12)):
+        kind = rng.random()
+        if kind < 0.1:
+            cols.append((0, 0, 0))
+        elif kind < 0.3 and cols:
+            lam = rng.randrange(1, q)
+            cols.append(tuple(spec.mul_t[lam][v] for v in rng.choice(cols)))
+        else:
+            cols.append(tuple(rng.randrange(q) for _ in range(3)))
+    rows = [list(row) for row in zip(*cols)]
+    if rng.random() < 0.25:
+        a, b = rng.randrange(q), rng.randrange(q)
+        rows[2] = [spec.add_t[spec.mul_t[a][x]][spec.mul_t[b][y]] for x, y in zip(rows[0], rows[1])]
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 8, 9))
+def test_min_distance_matches_a_brute_force_enumeration(q):
+    spec = field_for_order(q)
+    rng = random.Random(q)
+    outcomes = set()
+    for _ in range(40):
+        gen = random_generator_matrix(spec, rng)
+        expected = brute_force_distance(spec, gen)
+        outcomes.add(expected == 0)
+        if expected == 0:
+            with pytest.raises(ValueError, match="rank 3"):
+                min_distance(spec, gen)
+        else:
+            assert min_distance(spec, gen) == expected
+    assert outcomes == {True, False}  # both full-rank and rank-deficient matrices were drawn
 
 
 def test_min_distance_finds_the_one_light_codeword_in_every_position(plane_for):
@@ -239,6 +293,15 @@ def test_extension_field_tuples_need_not_be_normalized(plane_for):
     assert pa.arc.points == (_normalized_triples(25).index(point),)
     with pytest.raises(ParseError, match="line 7: duplicate point"):
         parse_arc_file(header + f"(1,7,18) {scaled}\n", plane=plane)
+
+
+def test_a_plane_over_another_field_is_not_used(plane_for):
+    plane = plane_for(25)  # poly 2,1,1
+    points = "points:\n(1,0,0) (0,1,0) (0,0,1) (1,1,1)\n"
+    assert parse_arc_file(f"p=5\ne=2\npoly=2,1,1\nr=2\n{points}", plane=plane).arc.plane is plane
+    pa = parse_arc_file(f"p=5\ne=2\npoly=2,0,1\nr=2\n{points}", plane=plane)
+    assert pa.spec == pa.arc.plane.spec == Field(5, 2, (2, 0, 1)) != plane.spec
+    assert verify_arc(pa.arc).max_multiplicity == 2
 
 
 def test_corpus_text_unknown_name():

@@ -3,11 +3,12 @@ import json
 
 import pytest
 
-from pgarcs import cli
-from pgarcs.arcs import corpus_text, format_arc_file, load_corpus_arc
+from pgarcs import arcs, cli
+from pgarcs.arcs import CORPUS, admitted_group, corpus_text, format_arc_file, load_corpus_arc, verify_arc
 from pgarcs.classify import enumerate_cyclic_classes, format_class_list
 from pgarcs.condense import parse_system
-from pgarcs.group import format_group_file, transpose_element
+from pgarcs.geometry import build_plane
+from pgarcs.group import format_group_file, make_element, transpose_element
 from pgarcs.solver import IlpModel, exhaustive_oracle
 
 
@@ -194,6 +195,28 @@ def test_exclude_refuses_the_checkpoint_of_another_sweep(tmp_path, capsys):
     assert path.read_text() == json.dumps({"classes": {}})
 
 
+@pytest.mark.parametrize(
+    ("text", "message"),
+    (
+        ("[]", " is not a JSON object with a 'classes' object"),
+        ('{"key": "q=3 r=2 n=5", "classes": []}', " is not a JSON object with a 'classes' object"),
+        ('{"key": "q=3 r=2 n=5", "classes": {"1": []}}', ": class '1' is not an integer id with an id and status record"),
+        ('{"key": "q=3 r=2 n=5", "classes": {"1": {"id": 1}}}', ": class '1' is not an integer id with an id and status record"),
+        (
+            '{"key": "q=3 r=2 n=5", "classes": {"x": {"id": 1, "status": "Timeout"}}}',
+            ": class 'x' is not an integer id with an id and status record",
+        ),
+    ),
+    ids=("file-list", "classes-list", "record-list", "record-without-status", "class-key-x"),
+)
+def test_exclude_refuses_a_checkpoint_of_another_shape(tmp_path, capsys, text, message):
+    path = tmp_path / "checkpoint.json"
+    path.write_text(text)
+    rc, out, err = run(capsys, EXCLUDE_Q3 + ["--resume", str(path)])
+    assert (rc, out, err) == (cli.EXIT_ERROR, "", f"error: checkpoint {path}{message}\n")
+    assert path.read_text() == text
+
+
 @pytest.mark.parametrize("argv", (["tables"], ["condense", "--q", "3", "--r", "2"]))
 def test_out_into_a_missing_directory_is_an_error(tmp_path, capsys, argv):
     rc, out, err = run(capsys, argv + ["--out", str(tmp_path / "missing" / "report")])
@@ -280,6 +303,44 @@ def test_verify_group_file_with_transposed_generators(tmp_path, capsys):
     report = json.loads(out)
     assert rc == cli.EXIT_OK
     assert (report["group_admitted"], report["convention"]) == (True, "row")
+
+
+# verify reports the admission its parse or admitted_group found, which is
+# what verify_arc finds for that group: True (bundled block, --group under
+# the transposed convention), False (a --group no convention admits, exit
+# 1) or None (a bare arc file)
+@pytest.mark.parametrize(("case", "admitted"), (("bundled", True), ("row", True), ("neither", False), ("bare", None)))
+def test_verify_reports_the_admission_verify_arc_finds(tmp_path, capsys, case, admitted):
+    pa = load_corpus_arc("q25_r3_n39.arc")
+    spec, arc = pa.spec, pa.arc
+    argv, group = ["verify", corpus_file(tmp_path, "plain.arc", format_arc_file(spec, arc.points, 3, arc.plane))], None
+    if case == "bundled":
+        argv, group = ["verify", corpus_file(tmp_path, "q25_r3_n39.arc")], pa.group
+    elif case != "bare":
+        shear = make_element(spec, ((1, 0, 0), (0, 1, 0), (0, 1, 1)))
+        gens = [transpose_element(spec, g) for g in pa.group.generators] if case == "row" else [shear]
+        path = tmp_path / "gens.grp"
+        path.write_text(format_group_file(gens))
+        argv += ["--group", str(path)]
+        group = admitted_group(arc, gens)[0]
+    rc, out, _ = run(capsys, argv)
+    assert json.loads(out)["group_admitted"] is verify_arc(arc, group).group_admitted is admitted
+    assert rc == (cli.EXIT_ERROR if admitted is False else cli.EXIT_OK)
+
+
+def test_tables_verifies_every_row_with_one_plane_per_field(capsys, monkeypatch):
+    built = []
+
+    def counted(spec):
+        built.append(spec)
+        return build_plane(spec)
+
+    monkeypatch.setattr(arcs, "build_plane", counted)
+    rc, out, _ = run(capsys, ["tables"])
+    report = json.loads(out)
+    assert (rc, report["all_verified"]) == (cli.EXIT_OK, True)
+    assert [row["verified"] for row in report["improved_bounds"]] == [True] * len(CORPUS) == [True] * 7
+    assert len(built) == len(set(built)) == len({q for q, *_ in CORPUS.values()}) == 5
 
 
 def test_verify_rejects_a_malformed_arc_file(tmp_path, capsys):
