@@ -1,22 +1,24 @@
 """Cyclic subgroups of PGL(3,q) for prime q, up to conjugacy, and the
 automorphism-exclusion sweep.
 
-Conjugacy of invertible 3x3 matrices is decided by the invariant-factor
-label (canonical_label): a non-scalar matrix satisfies at most one monic
-quadratic, fixed by two entries of its square, and the label follows
-from whether it does.  Two projective elements are conjugate in PGL iff
-some scalar multiple makes the labels match, so the projective label is
-the minimum over scalars.  One representative matrix per GL conjugacy
-class comes from the rational-form families (companion matrices of
-cubics, a scalar block next to a quadratic companion block, and
-scalars), and projecting those labels modulo scalars yields exactly one
-generator per conjugacy class of PGL(3,q).  For each representative the
-sweep condenses the plane by the generated cyclic group, asks the solver
-whether any selection reaches the target size n, and combines the
-per-class outcomes into a rigidity verdict.  A witness the solver
-reports is expanded to the full plane and checked as an (n,r)-arc before
-its class counts as realized.  An arc invariant under <g> is invariant
-under every subgroup, so a class is recorded as excluded, with the
+Conjugacy is decided by one batched rule over an (N, 3, 3) array of
+residues mod p (_label_codes).  A non-scalar m satisfies at most one
+monic quadratic x^2 + b1 x + b0: b1 = -m^2[r][s]/m[r][s] and b0 =
+-(m^2[r][r] + b1 m[r][r]) at the first nonzero off-diagonal m[r][s] in
+the order (0,1), (0,2), (1,0), (1,2), (2,0), (2,1), or (x - a)(x - b)
+for two different diagonal entries a, b.  If m^2 + b1 m + b0 I = 0 the
+invariant factors (the GL label) are x + c2 - b1 and that quadratic, c2
+the x^2 coefficient of the characteristic polynomial, else that
+polynomial alone; a scalar a gives x - a three times.  A label is coded
+as one integer, shape.p^3 plus its free coefficients read as base-p
+digits, so within a shape integer order is tuple order.  Conjugate in
+PGL means some scalar multiple lam.m has a conjugate label, and lam
+scales coefficient i of a degree-d factor by lam^(d-i), so the PGL label
+is the least code over lam.  One representative per GL class comes from
+the rational-form families, and one per PGL label is a transversal of
+the classes of PGL(3,q).  The sweep condenses the plane by each <g>,
+asks the solver whether a selection reaches n points, and checks any
+witness as an (n,r)-arc.  A class is excluded without a solve, the
 solved class in `implied_by`, when <g> or one of its prime-order
 subgroups is conjugate to an excluded one.  A checkpoint file is keyed
 by q, r and n; one with another key is refused, never overwritten.
@@ -30,24 +32,15 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from . import __version__
 from .arcs import Arc, verify_arc
 from .condense import condense, expand_solution
 from .errors import BudgetExceededError
 from .geometry import build_plane
 from .gf import Field, is_prime
-from .group import (
-    GroupElement,
-    _is_scalar,
-    char_poly,
-    closure,
-    det3,
-    format_group_file,
-    make_element,
-    matmul3,
-    orbits,
-    scalar_powers,
-)
+from .group import GroupElement, closure, det3, format_group_file, make_element, orbits, scalar_powers
 from .solver import FEASIBLE_FOUND, PROVED_INFEASIBLE, TIMEOUT, IlpModel, solve_feasible
 
 __all__ = [
@@ -70,67 +63,72 @@ VERDICT_LISTED = "RigidOrListedGroups"
 VERDICT_INCONCLUSIVE = "Inconclusive"
 
 
-def min_poly(spec: Field, m):
-    """Monic minimal polynomial of a 3x3 matrix (degree 1, 2 or 3).
+_ROWS, _COLS = np.array(((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))).T  # off-diagonal search order
+_CYCLIC, _SPLIT, _SCALAR = range(3)  # label shapes: a cubic; linear and quadratic; three linear
 
-    The one monic x^2 + b1 x + b0 that can annihilate a non-scalar m has
-    b1 = -m^2[r][s]/m[r][s] and b0 = -(m^2[r][r] + b1 m[r][r]) at the
-    first nonzero off-diagonal m[r][s], or is (x - a)(x - b) for different
-    diagonal entries a, b; if it fails, the answer is char_poly."""
-    add, mul, neg = spec.add_t, spec.mul_t, spec.neg_t
-    if _is_scalar(m):
-        return (neg[m[0][0]], 1)
-    m2 = matmul3(spec, m, m)
-    for r, s in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
-        if m[r][s]:
-            b1 = neg[mul[m2[r][s]][spec.inv_t[m[r][s]]]]
-            b0 = neg[add[m2[r][r]][mul[b1][m[r][r]]]]
-            break
-    else:  # diagonal, not scalar
-        a = m[0][0]
-        b = m[1][1] if m[1][1] != a else m[2][2]
-        b1 = neg[add[a][b]]
-        b0 = mul[a][b]
-    for r in range(3):
-        for s in range(3):
-            if add[add[m2[r][s]][mul[b1][m[r][s]]]][b0 if r == s else 0]:
-                return char_poly(spec, m)
-    return (b0, b1, 1)
+
+def _label_codes(p: int, m):
+    """The GL and the PGL label code of each matrix of an (N, 3, 3) int64
+    array of residues mod p, as two (N,) int64 arrays: the module's rule."""
+    at = np.arange(len(m))
+    m2 = m @ m % p
+    first = np.full(len(m), 6)  # 6: diagonal
+    for k in range(5, -1, -1):
+        first = np.where(m[:, _ROWS[k], _COLS[k]] != 0, k, first)
+    r, s = _ROWS[first % 6], _COLS[first % 6]
+    (x, y, z), (u, v, w), (g, h, i) = m[:, 0].T, m[:, 1].T, m[:, 2].T
+    b = np.where(v != x, v, i)
+    inverse = np.array([0] + [pow(t, p - 2, p) for t in range(1, p)])
+    b1 = np.where(first < 6, -m2[at, r, s] * inverse[m[at, r, s]], -(x + b)) % p
+    b0 = np.where(first < 6, -(m2[at, r, r] + b1 * m[at, r, r]), x * b) % p
+    quadratic = ~((m2 + b1[:, None, None] * m + b0[:, None, None] * np.eye(3, dtype=np.int64)) % p).any(axis=(1, 2))
+    shape = np.where((first == 6) & (x == b), _SCALAR, np.where(quadratic, _SPLIT, _CYCLIC))
+    trace, det = x + v + i, x * (v * i - w * h) - y * (u * i - w * g) + z * (u * h - v * g)
+    cubic = [-det, v * i - w * h + x * i - z * g + x * v - y * u, -trace]
+    split, scalar = np.stack([-trace - b1, b0, b1]), np.stack([-x, 0 * x, 0 * x])
+    c = np.select([shape == _CYCLIC, shape == _SPLIT], [np.stack(cubic), split], scalar) % p
+    lam = np.array([[pow(t, k, p) for t in range(1, p)] for k in range(4)])  # lam^k, lam = 1 .. p-1
+    lead = c[0][:, None] * lam[np.where(shape == _CYCLIC, 3, 1)] % p
+    least = ((lead * p + c[1][:, None] * lam[2] % p) * p + c[2][:, None] * lam[1] % p).min(axis=1)
+    return shape * p**3 + (c[0] * p + c[1]) * p + c[2], shape * p**3 + least
+
+
+def _label(p: int, code: int):
+    """The label, a tuple of coefficient tuples of Python ints, that a code stands for."""
+    shape, digits = divmod(code, p**3)
+    c0, c1, c2 = digits // (p * p), digits // p % p, digits % p
+    if shape == _CYCLIC:
+        return ((c0, c1, c2, 1),)
+    return ((c0, 1), (c1, c2, 1)) if shape == _SPLIT else ((c0, 1),) * 3
+
+
+def _codes_of(spec: Field, m):
+    """The GL and the PGL label code of one matrix over a prime field."""
+    if spec.e != 1:
+        raise ValueError(f"labels are computed over prime fields, not GF({spec.q})")
+    return [int(codes[0]) for codes in _label_codes(spec.p, np.array([m], dtype=np.int64))]
+
+
+def min_poly(spec: Field, m):
+    """Monic minimal polynomial of a 3x3 matrix (degree 1, 2 or 3), low
+    degree first: the last invariant factor by the module's batched rule."""
+    return _label(spec.p, _codes_of(spec, m)[0])[-1]
 
 
 def canonical_label(spec: Field, m):
-    """Invariant factors of the matrix: equal labels iff GL-conjugate.
-
-    One quadratic test, min_poly's, decides them.  A scalar a gives
-    (x - a) three times.  A non-scalar m with the quadratic x^2 + b1 x +
-    b0 gives x + c2 - b1 and that quadratic, c2 the x^2 coefficient of
-    char_poly; without one, char_poly is the one factor.
-    """
+    """Invariant factors of an invertible matrix by the module's batched
+    rule: equal labels iff GL-conjugate."""
     if det3(spec, m) == 0:
         raise ValueError("matrix is singular")
-    mp = min_poly(spec, m)
-    if len(mp) == 4:
-        return (mp,)
-    if len(mp) == 3:
-        c2 = char_poly(spec, m)[2]
-        return ((spec.add_t[c2][spec.neg_t[mp[1]]], 1), mp)
-    return (mp, mp, mp)
+    return _label(spec.p, _codes_of(spec, m)[0])
 
 
 def pgl_label(spec: Field, m):
-    """Conjugacy label of the projective class: minimum over scalar
-    multiples of the GL label.  The invariant factors of lam.m are those
-    of m with coefficient i of each degree-d factor times lam^(d-i)."""
-    label = canonical_label(spec, m)
-    mul = spec.mul_t
-    # lam^0 .. lam^3: no invariant factor has degree above 3
-    powers = [(1, lam, mul[lam][lam], mul[mul[lam][lam]][lam]) for lam in range(1, spec.q)]
-    # tuples from lists: from generators, the p = 5 and 7 enumerations
-    # peaked about 0.25 MiB higher
-    return min(
-        tuple([tuple([mul[c][pw[len(f) - 1 - i]] for i, c in enumerate(f)]) for f in label])
-        for pw in powers
-    )
+    """Projective conjugacy label of an invertible matrix by the module's
+    batched rule: the least label of a scalar multiple."""
+    if det3(spec, m) == 0:
+        raise ValueError("matrix is singular")
+    return _label(spec.p, _codes_of(spec, m)[1])
 
 
 def gl3_class_representatives(p: int):
@@ -144,9 +142,7 @@ def gl3_class_representatives(p: int):
     if p > 31:
         raise ValueError(f"p={p} out of supported range (<= 31)")
     spec = Field(p)
-    neg = spec.neg_t
-    mul = spec.mul_t
-    add = spec.add_t
+    neg, mul, add = spec.neg_t, spec.mul_t, spec.add_t
     reps = []
     for c0 in range(1, p):
         for c1 in range(p):
@@ -179,12 +175,6 @@ class ConjClassRep:
         return self.projective_order == 1
 
 
-def _subgroup_signature(spec, powers):
-    """Sorted labels of the generators of <m>, from scalar_powers(m)."""
-    sig = {pgl_label(spec, m) for k, m in enumerate(powers, 1) if math.gcd(k, len(powers)) == 1}
-    return tuple(sorted(sig))
-
-
 def enumerate_cyclic_classes(p: int):
     """A transversal of the conjugacy classes of PGL(3,p), prime p.
 
@@ -196,28 +186,34 @@ def enumerate_cyclic_classes(p: int):
     if not is_prime(p):
         raise ValueError(f"p={p} must be prime")
     if p > ENUMERATION_MAX_P:
-        raise BudgetExceededError(
-            f"full class enumeration supported for p <= {ENUMERATION_MAX_P}, got {p}"
-        )
+        raise BudgetExceededError(f"full class enumeration supported for p <= {ENUMERATION_MAX_P}, got {p}")
     spec = Field(p)
-    by_label = {}
-    for m in gl3_class_representatives(p):
-        by_label.setdefault(pgl_label(spec, m), m)
-    items = []
-    for lab, m in by_label.items():
-        powers = scalar_powers(spec, m)
-        items.append((len(powers), _subgroup_signature(spec, powers), lab, m))
-    items.sort(key=lambda t: t[:3])
-    return [
-        ConjClassRep(
-            class_id=i,
-            generator=make_element(spec, m),
-            projective_order=order,
-            label=lab,
-            signature=sig,
-        )
-        for i, (order, sig, lab, m) in enumerate(items)
-    ]
+    reps = gl3_class_representatives(p)
+    first = {}  # projective label code -> the first representative with it
+    for i, code in enumerate(_label_codes(p, np.array(reps, dtype=np.int64))[1].tolist()):
+        first.setdefault(code, i)
+    gens = np.array([reps[i] for i in first.values()], dtype=np.int64)
+    # the powers g, g^2, ... of every generator at once, until each is scalar
+    powers = [gens]
+    order = np.zeros(len(gens), dtype=np.int64)
+    while True:
+        x = powers[-1]
+        scalar = (x == x[:, :1, :1] * np.eye(3, dtype=np.int64)).all(axis=(1, 2))
+        order[(order == 0) & scalar] = len(powers)
+        if order.all():
+            break
+        powers.append(x @ gens % p)
+    order = order.tolist()
+    coprime = [[c for c, m in enumerate(order) if k <= m and math.gcd(k, m) == 1] for k in range(1, len(powers) + 1)]
+    codes = _label_codes(p, np.concatenate([x[row] for x, row in zip(powers, coprime)]))[1].tolist()
+    signatures = [set() for _ in order]
+    for c, code in zip([c for row in coprime for c in row], codes):
+        signatures[c].add(code)
+    items = sorted(
+        (m, tuple(sorted(_label(p, code) for code in sig)), _label(p, code), reps[i])
+        for m, sig, (code, i) in zip(order, signatures, first.items())
+    )
+    return [ConjClassRep(i, make_element(spec, g), m, lab, sig) for i, (m, sig, lab, g) in enumerate(items)]
 
 
 def subgroup_class_count(classes) -> int:
@@ -303,8 +299,11 @@ def _load_checkpoint(path, key):
     is refused with a ValueError naming it, not replaced."""
     if not (path and os.path.exists(path)):
         return {}
-    with open(path) as fh:
-        data = json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"checkpoint {path} is not JSON: {exc}") from exc
     classes = data.get("classes", {}) if isinstance(data, dict) else None
     if not isinstance(classes, dict):
         raise ValueError(f"checkpoint {path} is not a JSON object with a 'classes' object")

@@ -37,13 +37,15 @@ CLASS_DIGESTS = {
     5: "922807336348ca4665ae21fb8b54a513354fd4dfb78384c261092040a344f9ba",
     7: "4e2db3af77e04060d65ccfbd5c2e506042bd2ad5a1c51acfc9bd3fab99f1b0ee",
     11: "c4c7e8e007ae80742ca7d5f0c42b913de52bfe305f46a25182374e5bfbd3da19",
+    13: "13bf1eb0e4ed5dc60ad47a995969411fc587d008d6ce02aa30f7882ec0a3f160",
 }
 
 
 @pytest.mark.parametrize("p", sorted(CLASS_DIGESTS))
 def test_the_class_list_is_frozen(p):
     # ids, orders, labels, signatures and generators, as listed when each
-    # scalar multiple still got its own canonical_label
+    # scalar multiple still got its own canonical_label; the repr of a
+    # numpy integer differs from a Python int's, so none may leak in
     rows = [
         (c.class_id, c.projective_order, c.label, c.signature, c.generator.mat, c.generator.frob)
         for c in enumerate_cyclic_classes(p)
@@ -51,12 +53,19 @@ def test_the_class_list_is_frozen(p):
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == CLASS_DIGESTS[p]
 
 
+def gl_labels(p, mats):
+    """canonical_label of every matrix of an (N, 3, 3) array, by one call of the batched rule."""
+    return [classify._label(p, code) for code in classify._label_codes(p, np.asarray(mats, dtype=np.int64))[0].tolist()]
+
+
 @pytest.mark.parametrize("p", (3, 5, 7, 11))
 def test_pgl_label_is_the_least_label_of_a_scalar_multiple(p):
     spec = Field(p)
-    for m in gl3_class_representatives(p):
-        multiples = (tuple(tuple(spec.mul_t[lam][v] for v in row) for row in m) for lam in range(1, p))
-        assert pgl_label(spec, m) == min(canonical_label(spec, x) for x in multiples)
+    reps = gl3_class_representatives(p)
+    multiples = np.arange(1, p)[:, None, None, None] * np.array(reps) % p
+    labels = gl_labels(p, multiples.reshape(-1, 3, 3))
+    for i, m in enumerate(reps):
+        assert pgl_label(spec, m) == min(labels[i :: len(reps)])
 
 
 def test_a_sweep_accepts_only_one_thread():
@@ -92,8 +101,20 @@ def test_min_poly_is_the_lowest_degree_annihilator(p):
     spec = Field(p)
     mats = invertible_matrices(p)
     assert len(mats) == {2: 168, 3: 11232}[p]
-    got = [min_poly(spec, tuple(map(tuple, m.tolist()))) for m in mats]
-    assert got == lowest_annihilators(p, mats)
+    expected = lowest_annihilators(p, mats)
+    assert [label[-1] for label in gl_labels(p, mats)] == expected
+    for i in range(0, len(mats), len(mats) // 24):
+        assert min_poly(spec, mats[i].tolist()) == expected[i]
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_min_poly_is_the_lowest_degree_annihilator_on_every_matrix_the_enumeration_labels(p):
+    # the class representatives and every power of every class generator
+    spec = Field(p)
+    powers = [m for c in enumerate_cyclic_classes(p) for m in scalar_powers(spec, c.generator.mat)]
+    mats = np.array(gl3_class_representatives(p) + powers)
+    for chunk in np.array_split(mats, range(256, len(mats), 256)):
+        assert [label[-1] for label in gl_labels(p, chunk)] == lowest_annihilators(p, chunk)
 
 
 def poly_mul(p, f, g):
@@ -119,9 +140,9 @@ def test_the_labels_are_invariant_factors(p):
     # monic, each dividing the next, with the characteristic polynomial
     # as their product
     spec = Field(p)
-    for m in invertible_matrices(p):
-        m = tuple(map(tuple, m.tolist()))
-        label = canonical_label(spec, m)
+    mats = invertible_matrices(p)
+    for m, label in zip(mats.tolist(), gl_labels(p, mats)):
+        m = tuple(map(tuple, m))
         assert all(f[-1] == 1 for f in label)
         assert all(divides(p, f, g) for f, g in zip(label, label[1:]))
         assert functools.reduce(functools.partial(poly_mul, p), label) == char_poly(spec, m)
@@ -132,6 +153,13 @@ def test_a_diagonal_matrix_is_told_apart_from_a_jordan_block():
     diagonal = ((1, 0, 0), (0, 1, 0), (0, 0, 2))
     assert min_poly(spec, diagonal) == (2, 0, 1)  # x^2 - 1
     assert canonical_label(spec, diagonal) != canonical_label(spec, ((1, 1, 0), (0, 1, 0), (0, 0, 2)))
+
+
+def test_labels_are_computed_over_prime_fields_only():
+    gf4 = Field(2, 2, (1, 1, 1))
+    for label in (min_poly, canonical_label, pgl_label):
+        with pytest.raises(ValueError, match=r"not GF\(4\)"):
+            label(gf4, ((1, 0, 0), (0, 2, 0), (0, 0, 3)))
 
 
 @functools.cache

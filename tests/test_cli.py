@@ -206,15 +206,18 @@ def test_exclude_refuses_the_checkpoint_of_another_sweep(tmp_path, capsys):
             '{"key": "q=3 r=2 n=5", "classes": {"x": {"id": 1, "status": "Timeout"}}}',
             ": class 'x' is not an integer id with an id and status record",
         ),
+        ("not json", " is not JSON: Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff\xfe\x00", " is not JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     ),
-    ids=("file-list", "classes-list", "record-list", "record-without-status", "class-key-x"),
+    ids=("file-list", "classes-list", "record-list", "record-without-status", "class-key-x", "not-json", "not-utf-8"),
 )
 def test_exclude_refuses_a_checkpoint_of_another_shape(tmp_path, capsys, text, message):
     path = tmp_path / "checkpoint.json"
-    path.write_text(text)
+    data = text if isinstance(text, bytes) else text.encode()
+    path.write_bytes(data)
     rc, out, err = run(capsys, EXCLUDE_Q3 + ["--resume", str(path)])
     assert (rc, out, err) == (cli.EXIT_ERROR, "", f"error: checkpoint {path}{message}\n")
-    assert path.read_text() == text
+    assert path.read_bytes() == data
 
 
 @pytest.mark.parametrize("argv", (["tables"], ["condense", "--q", "3", "--r", "2"]))
