@@ -52,7 +52,6 @@ from .arcs import (
 from .classify import (
     ConjClassRep,
     ExclusionReport,
-    canonical_label,
     enumerate_cyclic_classes,
     gl3_class_representatives,
     run_exclusion,

@@ -18,9 +18,11 @@ is the least code over lam.  One representative per GL class comes from
 the rational-form families, and one per PGL label is a transversal of
 the classes of PGL(3,q).  The sweep condenses the plane by each <g>,
 asks the solver whether a selection reaches n points, and checks any
-witness as an (n,r)-arc.  A class is excluded without a solve, the
-solved class in `implied_by`, when <g> or one of its prime-order
-subgroups is conjugate to an excluded one.  A checkpoint file is keyed
+witness as an (n,r)-arc.  The call that labels the coprime powers of
+each generator g also labels g^(m/d) for each prime d < m dividing its
+order m, so a class carries its prime-order subgroups' signatures, and
+is excluded without a solve, the solved class in `implied_by`, when one
+of them or its own is an excluded class's.  A checkpoint file is keyed
 by q, r and n; one with another key is refused, never overwritten.
 """
 
@@ -40,18 +42,15 @@ from .condense import condense, expand_solution
 from .errors import BudgetExceededError
 from .geometry import build_plane
 from .gf import Field, is_prime
-from .group import GroupElement, closure, det3, format_group_file, make_element, orbits, scalar_powers
+from .group import GroupElement, closure, format_group_file, make_element, orbits
 from .solver import FEASIBLE_FOUND, PROVED_INFEASIBLE, TIMEOUT, IlpModel, solve_feasible
 
 __all__ = [
     "ConjClassRep",
     "ExclusionReport",
-    "canonical_label",
     "enumerate_cyclic_classes",
     "format_class_list",
     "gl3_class_representatives",
-    "min_poly",
-    "pgl_label",
     "run_exclusion",
     "subgroup_class_count",
 ]
@@ -102,35 +101,6 @@ def _label(p: int, code: int):
     return ((c0, 1), (c1, c2, 1)) if shape == _SPLIT else ((c0, 1),) * 3
 
 
-def _codes_of(spec: Field, m):
-    """The GL and the PGL label code of one matrix over a prime field."""
-    if spec.e != 1:
-        raise ValueError(f"labels are computed over prime fields, not GF({spec.q})")
-    return [int(codes[0]) for codes in _label_codes(spec.p, np.array([m], dtype=np.int64))]
-
-
-def min_poly(spec: Field, m):
-    """Monic minimal polynomial of a 3x3 matrix (degree 1, 2 or 3), low
-    degree first: the last invariant factor by the module's batched rule."""
-    return _label(spec.p, _codes_of(spec, m)[0])[-1]
-
-
-def canonical_label(spec: Field, m):
-    """Invariant factors of an invertible matrix by the module's batched
-    rule: equal labels iff GL-conjugate."""
-    if det3(spec, m) == 0:
-        raise ValueError("matrix is singular")
-    return _label(spec.p, _codes_of(spec, m)[0])
-
-
-def pgl_label(spec: Field, m):
-    """Projective conjugacy label of an invertible matrix by the module's
-    batched rule: the least label of a scalar multiple."""
-    if det3(spec, m) == 0:
-        raise ValueError("matrix is singular")
-    return _label(spec.p, _codes_of(spec, m)[1])
-
-
 def gl3_class_representatives(p: int):
     """Exactly one matrix per conjugacy class of GL(3,p).
 
@@ -160,15 +130,17 @@ def gl3_class_representatives(p: int):
 @dataclass(frozen=True)
 class ConjClassRep:
     """One conjugacy class of PGL(3,q): a generator, its projective order,
-    its projective label, and the signature of the generated cyclic
-    subgroup (labels of all coprime powers), which is equal for two
-    classes iff the generated subgroups are conjugate."""
+    its projective label, the signature of the generated cyclic subgroup
+    (labels of all coprime powers), equal for two classes iff the
+    subgroups are conjugate, and `subgroups`, the signatures of
+    <g^(m/d)> for each prime d < m dividing the order m, ascending d."""
 
     class_id: int
     generator: GroupElement
     projective_order: int
     label: tuple
     signature: tuple
+    subgroups: tuple
 
     @property
     def is_trivial(self):
@@ -204,16 +176,28 @@ def enumerate_cyclic_classes(p: int):
             break
         powers.append(x @ gens % p)
     order = order.tolist()
+    # per power k: the classes where g^k generates <g>, then those where
+    # it generates the subgroup of prime order d = m/k < m
     coprime = [[c for c, m in enumerate(order) if k <= m and math.gcd(k, m) == 1] for k in range(1, len(powers) + 1)]
-    codes = _label_codes(p, np.concatenate([x[row] for x, row in zip(powers, coprime)]))[1].tolist()
+    prime_ks = {m: [m // d for d in range(2, m) if m % d == 0 and is_prime(d)] for m in set(order)}
+    prime = [[] for _ in powers]
+    for c, m in enumerate(order):
+        for k in prime_ks[m]:
+            prime[k - 1].append(c)
+    codes = iter(_label_codes(p, np.concatenate([x[a + b] for x, a, b in zip(powers, coprime, prime)]))[1].tolist())
     signatures = [set() for _ in order]
-    for c, code in zip([c for row in coprime for c in row], codes):
-        signatures[c].add(code)
+    subgroups = [[] for _ in order]  # by ascending k, so descending d
+    for a, b in zip(coprime, prime):
+        for c in a:
+            signatures[c].add(next(codes))
+        for c in b:
+            subgroups[c].append(next(codes))
+    sig_of = {code: tuple(sorted(_label(p, member) for member in sig)) for code, sig in zip(first, signatures)}
     items = sorted(
-        (m, tuple(sorted(_label(p, code) for code in sig)), _label(p, code), reps[i])
-        for m, sig, (code, i) in zip(order, signatures, first.items())
+        (m, sig_of[code], _label(p, code), reps[i], tuple(sig_of[s] for s in reversed(sub)))
+        for m, sub, (code, i) in zip(order, subgroups, first.items())
     )
-    return [ConjClassRep(i, make_element(spec, g), m, lab, sig) for i, (m, sig, lab, g) in enumerate(items)]
+    return [ConjClassRep(i, make_element(spec, g), m, lab, sig, sub) for i, (m, sig, lab, g, sub) in enumerate(items)]
 
 
 def subgroup_class_count(classes) -> int:
@@ -278,21 +262,6 @@ def _solve_class(plane, rep, r, n, budget):
     return rec
 
 
-def _excluded_subgroup(spec, rep, by_label, solved_source):
-    """The solved class behind an excluded conjugate of <g> or of one of
-    its prime-order subgroups <g^(m/d)>, m the order of g; else None."""
-    if rep.signature in solved_source:
-        return solved_source[rep.signature]
-    m = rep.projective_order
-    powers = scalar_powers(spec, rep.generator.mat)
-    for d in range(2, m):
-        if m % d == 0 and is_prime(d):
-            sig = by_label[pgl_label(spec, powers[m // d - 1])].signature
-            if sig in solved_source:
-                return solved_source[sig]
-    return None
-
-
 def _load_checkpoint(path, key):
     """The records a checkpoint holds for the sweep `key`, with the fields
     older records lack; a file from another sweep, or of another shape,
@@ -347,11 +316,12 @@ def run_exclusion(
     realized or undecided class downgrades to RigidOrListedGroups; no
     exclusions at all is Inconclusive.  Timeouts are recorded, never
     raised.  Classes go in id order, so by projective order.  A class is
-    excluded without a solve, its record naming the solved class in
-    `implied_by` (None on solved records), when an excluded class
-    generates a conjugate of <g> or of <g^(m/d)>, d a prime dividing the
-    order m; realized, timed-out and skipped classes imply nothing.  With
-    a checkpoint path, records, each with its budget, are flushed after
+    excluded without a solve when its signature, or else one of its
+    `subgroups` in order, is an excluded class's; its record names that
+    solved class in `implied_by` (None on solved records).  Realized,
+    timed-out and skipped classes imply nothing.  A skip id that is not
+    a nontrivial class raises ValueError before any solve.  With a
+    checkpoint path, records, each with its budget, are flushed after
     every class with the tool version and reused on resume, except a
     Timeout under a smaller budget; a file with another sweep's key, or
     none, raises ValueError.  `progress` gets every new record.  Classes
@@ -363,11 +333,13 @@ def run_exclusion(
     if n < 1:
         raise ValueError(f"n={n}: the target must be at least 1")
     classes = enumerate_cyclic_classes(p)
-    plane = build_plane(Field(p))
     skip = set(skip)
+    unknown = sorted(skip - {rep.class_id for rep in classes if not rep.is_trivial})
+    if unknown:
+        raise ValueError(f"skip ids {unknown} are not nontrivial classes of PGL(3,{p})")
+    plane = build_plane(Field(p))
     key = f"q={p} r={r} n={n}"
     records = _load_checkpoint(checkpoint, key)
-    by_label = {rep.label: rep for rep in classes}
     solved_source = {}  # signature of an excluded subgroup -> the solved class behind it
     ordered = []
     for rep in classes:
@@ -377,7 +349,7 @@ def run_exclusion(
         if rep.class_id in skip:
             rec = rec or _record(rep, budget_per_class, "Skipped")
         elif rec is None or (rec["status"] == TIMEOUT and (rec["budget"] or 0) < budget_per_class):
-            source = _excluded_subgroup(plane.spec, rep, by_label, solved_source)
+            source = next((solved_source[s] for s in (rep.signature, *rep.subgroups) if s in solved_source), None)
             if source is None:
                 rec = _solve_class(plane, rep, r, n, budget_per_class)
             else:
@@ -401,12 +373,5 @@ def run_exclusion(
     else:
         verdict = VERDICT_INCONCLUSIVE
     return ExclusionReport(
-        q=p,
-        r=r,
-        n=n,
-        excluded=excluded,
-        realized=realized,
-        undecided=undecided,
-        verdict=verdict,
-        classes=tuple(ordered),
+        q=p, r=r, n=n, excluded=excluded, realized=realized, undecided=undecided, verdict=verdict, classes=tuple(ordered)
     )

@@ -6,7 +6,8 @@ tool version, the field spec and sha256 digests of the input files, so
 long runs stay attributable; it goes to --out or stdout.  condense and
 classify also make an artifact (the system, the class list), which goes
 to --out or stdout, the report then going to stdout or stderr.  exclude
-streams one line per class to stderr:
+streams one line to stderr per class solved or implied in this run
+(skipped classes and records reused from a checkpoint print none):
 ``class <id> order <m> ell <ell>: <status> nodes=<k> time=<s>`` for a
 solved class (no time= with --deterministic), and ``class <id> order
 <m>: ProvedInfeasible implied by class <src>`` for a class excluded by
@@ -130,7 +131,10 @@ def cmd_solve(args):
 
 
 def cmd_exclude(args):
-    skip = [int(v) for v in args.skip.split(",") if v] if args.skip else []
+    try:
+        skip = [int(v) for v in args.skip.split(",") if v] if args.skip else []
+    except ValueError:
+        raise ValueError(f"--skip {args.skip}: class ids are comma-separated integers") from None
 
     def progress(rec):
         if rec["implied_by"] is not None:

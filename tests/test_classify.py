@@ -7,14 +7,7 @@ import numpy as np
 import pytest
 
 from pgarcs import __version__, classify
-from pgarcs.classify import (
-    canonical_label,
-    enumerate_cyclic_classes,
-    gl3_class_representatives,
-    min_poly,
-    pgl_label,
-    run_exclusion,
-)
+from pgarcs.classify import enumerate_cyclic_classes, gl3_class_representatives, run_exclusion
 from pgarcs.condense import condense
 from pgarcs.geometry import build_plane
 from pgarcs.gf import Field, is_prime
@@ -53,19 +46,19 @@ def test_the_class_list_is_frozen(p):
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == CLASS_DIGESTS[p]
 
 
-def gl_labels(p, mats):
-    """canonical_label of every matrix of an (N, 3, 3) array, by one call of the batched rule."""
-    return [classify._label(p, code) for code in classify._label_codes(p, np.asarray(mats, dtype=np.int64))[0].tolist()]
+def gl_labels(p, mats, pgl=False):
+    """The GL label (invariant factors) of every matrix of an (N, 3, 3)
+    array, or with pgl=True its PGL label, by one call of the batched rule."""
+    codes = classify._label_codes(p, np.asarray(mats, dtype=np.int64))[1 if pgl else 0]
+    return [classify._label(p, code) for code in codes.tolist()]
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11))
 def test_pgl_label_is_the_least_label_of_a_scalar_multiple(p):
-    spec = Field(p)
     reps = gl3_class_representatives(p)
     multiples = np.arange(1, p)[:, None, None, None] * np.array(reps) % p
     labels = gl_labels(p, multiples.reshape(-1, 3, 3))
-    for i, m in enumerate(reps):
-        assert pgl_label(spec, m) == min(labels[i :: len(reps)])
+    assert gl_labels(p, reps, pgl=True) == [min(labels[i :: len(reps)]) for i in range(len(reps))]
 
 
 def test_a_sweep_accepts_only_one_thread():
@@ -98,13 +91,13 @@ def lowest_annihilators(p, mats):
 
 @pytest.mark.parametrize("p", (2, 3))
 def test_min_poly_is_the_lowest_degree_annihilator(p):
-    spec = Field(p)
+    # the minimal polynomial is the last invariant factor
     mats = invertible_matrices(p)
     assert len(mats) == {2: 168, 3: 11232}[p]
     expected = lowest_annihilators(p, mats)
     assert [label[-1] for label in gl_labels(p, mats)] == expected
-    for i in range(0, len(mats), len(mats) // 24):
-        assert min_poly(spec, mats[i].tolist()) == expected[i]
+    for i in range(0, len(mats), len(mats) // 24):  # one matrix at a time too
+        assert gl_labels(p, mats[i : i + 1])[0][-1] == expected[i]
 
 
 @pytest.mark.parametrize("p", (5, 7))
@@ -149,17 +142,9 @@ def test_the_labels_are_invariant_factors(p):
 
 
 def test_a_diagonal_matrix_is_told_apart_from_a_jordan_block():
-    spec = Field(3)
-    diagonal = ((1, 0, 0), (0, 1, 0), (0, 0, 2))
-    assert min_poly(spec, diagonal) == (2, 0, 1)  # x^2 - 1
-    assert canonical_label(spec, diagonal) != canonical_label(spec, ((1, 1, 0), (0, 1, 0), (0, 0, 2)))
-
-
-def test_labels_are_computed_over_prime_fields_only():
-    gf4 = Field(2, 2, (1, 1, 1))
-    for label in (min_poly, canonical_label, pgl_label):
-        with pytest.raises(ValueError, match=r"not GF\(4\)"):
-            label(gf4, ((1, 0, 0), (0, 2, 0), (0, 0, 3)))
+    diagonal, jordan = gl_labels(3, [((1, 0, 0), (0, 1, 0), (0, 0, 2)), ((1, 1, 0), (0, 1, 0), (0, 0, 2))])
+    assert diagonal[-1] == (2, 0, 1)  # x^2 - 1
+    assert diagonal != jordan
 
 
 @functools.cache
@@ -199,6 +184,56 @@ def test_equal_signatures_exactly_for_conjugate_cyclic_subgroups(p):
         assert (g.signature == h.signature) == conjugate, (i, j)
 
 
+def prime_divisors_below(m):
+    return [d for d in range(2, m) if m % d == 0 and is_prime(d)]
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_subgroups_are_the_prime_order_subgroups_of_each_class(p):
+    # entry i is the signature of a class whose cyclic subgroup holds a
+    # conjugate of g^(m/d), d the i-th prime below m dividing m
+    spec = Field(p)
+    classes = enumerate_cyclic_classes(p)
+    by_signature = {c.signature: c for c in classes}
+    checked = 0
+    for c in classes:
+        powers = scalar_powers(spec, c.generator.mat)
+        m = c.projective_order
+        assert len(c.subgroups) == len(prime_divisors_below(m))
+        for d, sig in zip(prime_divisors_below(m), c.subgroups):
+            h = by_signature[sig]
+            assert h.projective_order == d
+            subgroup = set(closure(spec, [h.generator]).elements)
+            power = make_element(spec, powers[m // d - 1])
+            assert any(compose(spec, compose(spec, a, power), a_inv) in subgroup for a, a_inv in pgl(p))
+            checked += 1
+    assert checked == {2: 1, 3: 5}[p]
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13))
+def test_subgroups_have_the_prime_orders_of_the_class_order_in_ascending_order(p):
+    classes = enumerate_cyclic_classes(p)
+    order_of = {c.signature: c.projective_order for c in classes}
+    for c in classes:
+        assert [order_of[sig] for sig in c.subgroups] == prime_divisors_below(c.projective_order)
+
+
+SWEEP_SOURCE_DIGESTS = {
+    (3, 2, 5): "392eb78069b09fc3b063568654d327fe3e73d8122b731724f5d3317d72456579",
+    (5, 2, 6): "f0c349ae16522d6120eaca79014480f0b4893ff15e35a2ef9c4138f7a09bec55",
+    (5, 2, 7): "643bd738d8ce5429b0cddaa63d9ad030921542fa19e945f986ea35b92b09e62b",
+    (7, 3, 16): "a48d0afada0fb943ac6bdf3307903d61f34ff0ed6ad98af7deb9e724438068c3",
+}
+
+
+@pytest.mark.parametrize(("p", "r", "n"), sorted(SWEEP_SOURCE_DIGESTS))
+def test_the_sweep_sources_are_frozen(p, r, n):
+    # which solved class each implied record names: a class of order 6,
+    # 10, 12 or 20 has two prime-order subgroups, the smaller prime first
+    rows = [(c["id"], c["status"], c["implied_by"]) for c in run_exclusion(p, r, n, budget_per_class=10).classes]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == SWEEP_SOURCE_DIGESTS[p, r, n]
+
+
 @pytest.mark.parametrize(("p", "r", "n"), ((3, 2, 5), (5, 2, 6), (5, 2, 7)))
 def test_every_implied_class_is_excluded_by_its_own_solve(p, r, n):
     # the source is a solved exclusion of <g^k> for some k | m, up to
@@ -216,7 +251,8 @@ def test_every_implied_class_is_excluded_by_its_own_solve(p, r, n):
         g = classes[rec["id"]].generator
         powers = scalar_powers(spec, g.mat)
         m = len(powers)
-        subgroups = {by_label[pgl_label(spec, powers[k - 1])].signature for k in range(1, m) if m % k == 0}
+        labels = gl_labels(p, [powers[k - 1] for k in range(1, m) if m % k == 0], pgl=True)
+        subgroups = {by_label[label].signature for label in labels}
         assert classes[source["id"]].signature in subgroups
         assert (rec["nodes"], rec["ell"], rec["objective"]) == (0, None, None)
         cs = condense(plane, orbits(plane, closure(spec, [g])), r)

@@ -144,6 +144,27 @@ def test_exclude_skip_keeps_a_checkpointed_record(tmp_path, capsys):
     assert json.loads(path.read_text())["classes"]["1"] == saved
 
 
+@pytest.mark.parametrize(
+    ("skip", "message"),
+    (
+        ("99", "skip ids [99] are not nontrivial classes of PGL(3,3)"),
+        ("0", "skip ids [0] are not nontrivial classes of PGL(3,3)"),
+        ("1,12,-1", "skip ids [-1, 12] are not nontrivial classes of PGL(3,3)"),
+        ("1,x", "--skip 1,x: class ids are comma-separated integers"),
+    ),
+)
+def test_exclude_refuses_a_skip_id_that_is_no_class(tmp_path, capsys, skip, message):
+    # before any solve: no checkpoint is written, and none is touched
+    path = tmp_path / "checkpoint.json"
+    rc, out, err = run(capsys, EXCLUDE_Q3 + ["--deterministic", "--skip", skip, "--resume", str(path)])
+    assert (rc, out, err) == (cli.EXIT_ERROR, "", f"error: {message}\n")
+    assert not path.exists()
+    saved = json.dumps({"key": "q=3 r=2 n=5", "classes": {}})
+    path.write_text(saved)
+    assert run(capsys, EXCLUDE_Q3 + ["--skip", skip, "--resume", str(path)])[:2] == (cli.EXIT_ERROR, "")
+    assert path.read_text() == saved
+
+
 EXCLUDE_Q5_N6 = ["exclude", "--q", "5", "--r", "2", "--n", "6", "--budget-per-class", "2", "--deterministic"]
 
 
