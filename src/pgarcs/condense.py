@@ -124,13 +124,15 @@ def format_system(system: CondensedSystem) -> str:
 
 
 def _integers(lineno, text, ell, what):
-    """The ell integers of a line of text; `what` names them in an error."""
+    """The ell nonnegative integers of a line; `what` names them in errors."""
     try:
         values = tuple(int(v) for v in text.split())
     except ValueError:
         raise ParseError(f"expected integers, got {text.strip()!r}", lineno) from None
     if len(values) != ell:
         raise ParseError(f"{len(values)} {what}, expected ell={ell}", lineno)
+    if min(values) < 0:
+        raise ParseError(f"{what} must be nonnegative, got {min(values)}", lineno)
     return values
 
 

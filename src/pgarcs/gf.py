@@ -249,13 +249,7 @@ def field_for_order(q: int) -> Field:
     if is_prime(q):
         return Field(q)
     if q in DEFAULT_POLYS:
-        p = 2
-        while q % p:
-            p += 1
-        e = 0
-        n = q
-        while n > 1:
-            n //= p
-            e += 1
-        return Field(p, e, DEFAULT_POLYS[q])
+        poly = DEFAULT_POLYS[q]
+        e = len(poly) - 1
+        return Field(next(p for p in range(2, q) if p**e == q), e, poly)
     raise ValueError(f"unsupported field order {q}")

@@ -250,12 +250,13 @@ def closure(spec: Field, generators, cap: int = CLOSURE_CAP) -> Group:
 
 
 def conjugate_group(spec: Field, alpha: GroupElement, group: Group) -> Group:
-    """The group alpha G alpha^-1, same order."""
-    gens = [conjugate_element(spec, alpha, g) for g in group.generators]
-    elems = [conjugate_element(spec, alpha, g) for g in group.elements]
-    if len(set(elems)) != group.order:
+    """The group alpha G alpha^-1, the closure of the conjugated generators:
+    conjugation is an isomorphism, so its elements are G's conjugated, in
+    the same order."""
+    conj = closure(spec, [conjugate_element(spec, alpha, g) for g in group.generators])
+    if conj.order != group.order:
         raise AssertionError("conjugation must preserve the group order")
-    return Group(spec, gens, elems)
+    return conj
 
 
 def point_permutation(plane: Plane, g: GroupElement):

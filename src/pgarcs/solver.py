@@ -28,13 +28,13 @@ incumbent that the search and the LNS share holds it and says when it
 is reached (`hit`); either side stops there, so an LNS witness stops the
 search at its next node.  A target search prunes on target - 1, so its
 nodes do not depend on the LNS; a max search prunes on the incumbent,
-which holds only feasible points.  The deadline: a search node past it
-raises BudgetExceededError, as does the normalizer listing, and the body
-turns that one exception into a Timeout status, never an error.  The
-LNS returns at the deadline too, which a solve that ends within its
-budget never reaches, so such a solve replays bit-identically.  The root
-LP gets the remaining budget as its time limit, and a limited root
-counts as no optimum.
+which holds only feasible points.  The deadline: one time, computed once
+per solve, that every part of it stops on.  A search node past it raises
+BudgetExceededError, as does the normalizer listing, and the body turns
+that one exception into a Timeout status, never an error.  The LNS
+returns at it, and every LP, the root's and each node's alike, is cut
+there and counts as no optimum.  A solve that ends within its budget
+reaches none of these, so it replays bit-identically.
 
 A system condensed from a group G carries the symmetry of the normalizer
 N(G) in PGL(3,q), which maps G-invariant arcs to G-invariant arcs and so
@@ -159,17 +159,19 @@ class _Lp:
     """The LP relaxation of one model, kept in a single HiGHS object.
 
     `set_col` changes one column's bounds; `solve` re-runs HiGHS, which
-    starts from the previous basis.  Every bound it returns is certified in
-    integers from the row duals (see `_certify`), so float error can only
-    weaken it.
+    starts from the previous basis, and stops it at `deadline` (a
+    time.monotonic() value; none by default).  Every bound it returns is
+    certified in integers from the row duals (see `_certify`), so float
+    error can only weaken it.
     """
 
-    def __init__(self, model: IlpModel):
+    def __init__(self, model: IlpModel, deadline=float("inf")):
         n, r = model.n, model.r
         self.A = np.array(model.A, dtype=np.int64)
         self.r = r
         self.w_scaled = np.array(model.w, dtype=np.int64) << CERT_BITS
         rows, cols = np.nonzero(self.A)
+        self.deadline = deadline
         self.highs = h = _highs._Highs()
         h.setOptionValue("output_flag", False)
         h.setOptionValue("presolve", "off")
@@ -203,17 +205,17 @@ class _Lp:
         total = self.r * int(y.sum()) + int(np.maximum(self.lo * d, self.hi * d).sum())
         return total >> CERT_BITS
 
-    def solve(self, time_limit=None):
+    def solve(self):
         """(bound, x): a certified integer upper bound over all completions
         of the current fixing, and the LP point.  When HiGHS does not report
-        an optimum, within time_limit seconds if one is given, the bound is
-        the weight of everything not fixed to 0 and x is None."""
-        if time_limit is None:
-            self.highs.run()
-        else:
-            self.highs.setOptionValue("time_limit", max(time_limit, 0.0))
-            self.highs.run()
-            self.highs.setOptionValue("time_limit", _highs.kHighsInf)
+        an optimum before the deadline, the bound is the weight of
+        everything not fixed to 0 and x is None.
+
+        HiGHS holds its time_limit against a run clock that sums every run
+        of the object, so the limit is that clock plus the time left."""
+        left = max(self.deadline - time.monotonic(), 0.0)
+        self.highs.setOptionValue("time_limit", self.highs.getRunTime() + left)
+        self.highs.run()
         if self.highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
             return int(self.w_scaled @ self.hi) >> CERT_BITS, None
         sol = self.highs.getSolution()
@@ -329,7 +331,6 @@ class _Search:
         self.loads, self.guard, self.col = model.packed
         self.fixed_w = 0
         self.sum_free_w = sum(model.w)
-        self.free = model.n
         self.nodes = 0
         self.group = _UNLISTED  # the node's symmetry group, None when trivial
         self.symmetry = 1  # the group's order at the root
@@ -339,7 +340,6 @@ class _Search:
     def _set(self, j, v):
         self.value[j] = v
         self.lp.set_col(j, v, v)
-        self.free -= 1
         self.sum_free_w -= self.model.w[j]
         if v:
             self.fixed_w += self.model.w[j]
@@ -349,7 +349,6 @@ class _Search:
         v = self.value[j]
         self.value[j] = None
         self.lp.set_col(j, 0, 1)
-        self.free += 1
         self.sum_free_w += self.model.w[j]
         if v:
             self.fixed_w -= self.model.w[j]
@@ -387,7 +386,7 @@ class _Search:
         if self.fixed_w > self.incumbent.objective:
             x = tuple(v if v else 0 for v in self.value)
             self.incumbent.offer(x, self.fixed_w)
-        if self.incumbent.hit or not self.free:
+        if self.incumbent.hit:
             return
         threshold = self.incumbent.threshold
         if self.fixed_w + self.sum_free_w <= threshold:
@@ -531,8 +530,8 @@ def _solve(model, budget, target=None):
     if target is not None and target <= 0:
         return done((0,) * model.n, 0, FEASIBLE_FOUND, 0)
     deadline = t0 + budget
-    lp = _Lp(model)
-    root_bound, _ = lp.solve(time_limit=deadline - time.monotonic())
+    lp = _Lp(model, deadline)
+    root_bound, _ = lp.solve()
     if target is not None and root_bound < target:
         return done((0,) * model.n, 0, PROVED_INFEASIBLE, 1)
     warm = greedy_warm_start(model)

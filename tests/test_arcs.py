@@ -307,3 +307,19 @@ def test_a_plane_over_another_field_is_not_used(plane_for):
 def test_corpus_text_unknown_name():
     with pytest.raises(KeyError):
         corpus_text("missing.arc")
+
+
+def test_parse_arc_file_needs_a_point():
+    with pytest.raises(ParseError, match="^no points given$"):
+        parse_arc_file("q=5\nr=2\npoints:\n\n")
+
+
+def test_verify_arc_rejects_a_repeated_index(plane_for):
+    with pytest.raises(ValueError, match="^duplicate point indices$"):
+        verify_arc(Arc(plane=plane_for(5), points=(0, 3, 3)))
+
+
+def test_admits_group_rejects_a_group_over_another_field(plane_for):
+    arc = Arc(plane=plane_for(5), points=(0, 3, 7))
+    with pytest.raises(ValueError, match="different fields"):
+        admits_group(arc, s3_group(field_for_order(7)))

@@ -38,6 +38,31 @@ def test_solve_deterministic_replays(tmp_path, capsys):
     assert {k: v for k, v in timed.items() if k != "time"} == report
 
 
+@pytest.mark.parametrize(
+    ("q", "r", "extra", "want"),
+    (
+        (3, 2, ["--target", "4"], (cli.EXIT_OK, "FeasibleFound", None)),
+        (3, 2, ["--target", "5"], (cli.EXIT_OK, "ProvedInfeasible", 93)),  # m_2(2,3) = 4
+        (4, 3, ["--target", "10", "--budget", "0"], (cli.EXIT_INCONCLUSIVE, "Timeout", None)),
+    ),
+)
+def test_solve_with_a_target(tmp_path, capsys, q, r, extra, want):
+    system = tmp_path / "full.sys"
+    assert cli.main(["condense", "--q", str(q), "--r", str(r), "--out", str(system)]) == cli.EXIT_OK
+    capsys.readouterr()
+    rc, out, _ = run(capsys, ["solve", "--system", str(system), "--deterministic", *extra])
+    report = json.loads(out)
+    rc_want, status, nodes = want
+    assert (rc, report["status"]) == (rc_want, status)
+    if nodes is not None:
+        assert report["nodes"] == nodes
+    model = IlpModel(parse_system(system.read_text()))
+    x = tuple(int(v) for v in report["x"])
+    assert model.check_feasible(x) and model.objective(x) == report["objective"]
+    if status == "FeasibleFound":
+        assert report["objective"] >= int(extra[1])
+
+
 # m_r(2,q) of the full plane, no group: 2^(q^2+q+1) point sets at most
 @pytest.mark.parametrize(("q", "r", "optimum"), ((2, 2, 4), (2, 3, 7), (3, 2, 4), (3, 3, 9), (4, 2, 6), (4, 3, 9)))
 def test_condense_then_solve_matches_the_exhaustive_oracle(tmp_path, capsys, q, r, optimum):
@@ -288,6 +313,8 @@ def test_parser_is_built_once():
         ("ell=2 q=2 r=1\n\nw: 7\n3 0\n0 3\n", "line 3: 1 weights, expected ell=2"),
         ("ell=2 q=2 r=1\nw: 1 6\n3 0\n3\n", "line 4: 1 entries in a matrix row, expected ell=2"),
         ("ell=2 q=2 r=1\nw: 1 6\n3 0\n", "1 matrix rows, expected ell=2"),
+        ("ell=1 q=2 r=1\nw: -7\n3\n", "line 2: weights must be nonnegative, got -7"),
+        ("ell=2 q=2 r=1\nw: 1 6\n3 0\n0 -3\n", "line 4: entries in a matrix row must be nonnegative, got -3"),
     ),
 )
 def test_solve_rejects_malformed_systems(tmp_path, capsys, text, message):

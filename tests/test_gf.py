@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from pgarcs.gf import Field, field_for_order, is_irreducible, parse_field_spec
+from pgarcs.errors import ParseError
+from pgarcs.gf import Field, field_for_order, field_from_header, is_irreducible, parse_field_spec
 
 # the three bundled extension fields exercised throughout the suite
 GF16 = (2, 4, (1, 0, 0, 1, 1))  # x^4+x^3+1
@@ -245,3 +246,45 @@ def test_field_rejects_exactly_the_products_of_lower_degree_monics(p, degrees):
                     Field(p, e, poly)
             else:
                 assert Field(p, e, poly).q == p**e
+
+
+FIELD_SPECS = {
+    2: "p=2 e=1", 3: "p=3 e=1", 4: "p=2 e=2 poly=1,1,1", 5: "p=5 e=1", 7: "p=7 e=1",
+    8: "p=2 e=3 poly=1,1,0,1", 9: "p=3 e=2 poly=1,0,1", 11: "p=11 e=1", 13: "p=13 e=1",
+    16: "p=2 e=4 poly=1,0,0,1,1", 17: "p=17 e=1", 19: "p=19 e=1", 23: "p=23 e=1",
+    25: "p=5 e=2 poly=2,1,1", 27: "p=3 e=3 poly=1,2,0,1", 29: "p=29 e=1", 31: "p=31 e=1",
+}
+
+
+@pytest.mark.parametrize("q", sorted(FIELD_SPECS))
+def test_field_for_order_is_pinned(q):
+    assert field_for_order(q).spec_string() == FIELD_SPECS[q]
+
+
+@pytest.mark.parametrize("q", (6, 32))
+def test_field_for_order_refuses_an_unsupported_order(q):
+    with pytest.raises(ValueError, match=f"^unsupported field order {q}$"):
+        field_for_order(q)
+
+
+@pytest.mark.parametrize(
+    ("kv", "message"),
+    (
+        ({"r": "2"}, "missing field headers (p=/e= or prime q=)"),
+        ({"p": "5", "e": "2", "poly": "2,x"}, "line 4: bad poly value '2,x'"),
+        ({"q": "9", "p": "3"}, "line 1: q=9 does not match p^e=3"),
+    ),
+)
+def test_field_from_header_rejects_bad_headers(kv, message):
+    with pytest.raises(ParseError) as exc:
+        field_from_header(kv, {"q": 1, "p": 2, "e": 3, "poly": 4, "r": 5})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    ("args", "message"),
+    (((2, 0), "e=0 must be positive"), ((3, 2, (1, 1)), "polynomial must have 3 coefficients")),
+)
+def test_field_rejects_a_bad_degree_or_polynomial_length(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Field(*args)

@@ -3,6 +3,8 @@ import random
 import numpy as np
 import pytest
 
+from conftest import s3_group
+from pgarcs.arcs import CORPUS, load_corpus_arc
 from pgarcs.condense import condense
 from pgarcs.errors import BudgetExceededError, ParseError
 from pgarcs.gf import Field, field_for_order
@@ -227,6 +229,26 @@ def test_conjugate_group():
     od1 = orbits(plane, s3)
     od2 = orbits(plane, conj)
     assert sorted(od1.weights) == sorted(od2.weights)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_conjugate_group_conjugates_each_element_in_order(plane_for, name):
+    pa = load_corpus_arc(name, plane=plane_for(CORPUS[name][0]))
+    spec, g = pa.spec, pa.group
+    alpha = random_invertible(spec, random.Random(name))
+    assert alpha != identity_element(spec)
+    conj = conjugate_group(spec, alpha, g)
+    assert conj.elements == tuple(conjugate_element(spec, alpha, e) for e in g.elements)
+
+
+def test_make_element_needs_a_3x3_matrix():
+    with pytest.raises(ValueError, match="^matrix must be 3x3$"):
+        make_element(Field(5), ((1, 0, 0), (0, 1, 0)))
+
+
+def test_orbits_rejects_a_group_over_another_field(plane_for):
+    with pytest.raises(ValueError, match="different fields"):
+        orbits(plane_for(5), s3_group(field_for_order(7)))
 
 
 def test_conjugate_element_identity():

@@ -302,6 +302,26 @@ def test_search_restores_lp_to_fresh_root(plane_for):
         assert lp.solve()[0] == fresh_bound
 
 
+def test_a_node_lp_gets_the_time_left_on_top_of_the_run_clock(plane_for):
+    # HiGHS holds time_limit against a clock summing every run of the
+    # object: after the root, a limit of only the time left stops the run at once
+    plane = plane_for(31)
+    pa = load_corpus_arc("q31_r25_n734.arc", plane=plane)
+    model = IlpModel(condense(plane, orbits(plane, closure(plane.spec, pa.group.generators)), 25))
+    lp = _Lp(model, float("inf"))
+    assert lp.solve()[1] is not None
+    clock = lp.highs.getRunTime()
+    lp.deadline = time.monotonic() + clock / 2
+    lp.set_col(0, 0, 0)
+    bound, x = lp.solve()
+    assert x is not None and bound < sum(model.w)
+
+
+def test_an_lp_past_its_deadline_returns_no_point(plane_for):
+    model = full_plane_model(plane_for, 3, 2)
+    assert _Lp(model, time.monotonic() - 1).solve() == (sum(model.w), None)
+
+
 def test_greedy_warm_start_full_selection(plane_for):
     for q in (2, 4):
         model = full_plane_model(plane_for, q, q + 1)
