@@ -16,6 +16,7 @@ each arc file with its q, r, new bound n and the previous bound.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import asdict, dataclass
 from importlib import resources
@@ -53,7 +54,9 @@ __all__ = [
     "verify_arc",
 ]
 
-_TUPLE_RE = re.compile(r"^\((\d+),(\d+),(\d+)\)$")
+_TUPLE_RE = re.compile(r"\(\d+,\d+,\d+\)")
+_POINT_LINE_RE = re.compile(rf"{_TUPLE_RE.pattern}(?:\s+{_TUPLE_RE.pattern})*")
+_DIGITS_RE = re.compile(r"\d+")
 
 _DATA = resources.files("pgarcs") / "data"
 
@@ -174,15 +177,33 @@ def min_distance(spec: Field, gen) -> int:
 
 @dataclass
 class ParsedArc:
-    """Result of parsing an arc file: the field, the arc, and (when a
-    group block is present) the group together with the action convention
-    under which it stabilizes the point set."""
+    """Result of parsing an arc file: the field, the arc, and the group
+    block's generators (empty when the file has none).
+
+    `group`, `convention` and `admitted` are worked out by `admitted_group`
+    the first time one of them is read, so a caller that needs only the
+    points never pays for the closure; all three are None without a
+    group block."""
 
     spec: Field
     arc: Arc
-    group: Group | None = None
-    convention: str | None = None
-    admitted: bool | None = None
+    generators: tuple = ()
+
+    @functools.cached_property
+    def _admission(self):
+        return admitted_group(self.arc, self.generators) if self.generators else (None, None, None)
+
+    @property
+    def group(self) -> Group | None:
+        return self._admission[0]
+
+    @property
+    def convention(self) -> str | None:
+        return self._admission[1]
+
+    @property
+    def admitted(self) -> bool | None:
+        return self._admission[2]
 
 
 def parse_arc_file(text: str, plane: Plane | None = None) -> ParsedArc:
@@ -193,10 +214,15 @@ def parse_arc_file(text: str, plane: Plane | None = None) -> ParsedArc:
     stripped; an optional ``group-begin``/``group-end`` block holding generators in
     the group file format, then ``points:`` followed by ``(a,b,c)`` tuples
     in the field's integer element coding.  Tuples need not be normalized:
-    any nonzero multiple names its point.  When a group is present the
-    loader checks that it stabilizes the arc under the column action and
-    falls back to the transposed action, recording which one succeeded.
-    A given plane is used only when it lies over the file's field.
+    any nonzero multiple names its point.  A point section with faults
+    reports the earliest faulty tuple in file order, by the first check
+    it fails of: malformed, coordinate out of range, the zero triple,
+    duplicate (a repeated point is reported at its later copy).  When a
+    group is present the generators are read here, and the loader checks
+    on first use that they stabilize the arc under the column action,
+    falling back to the transposed action and recording which one
+    succeeded.  A given plane is used only when it lies over the file's
+    field.
     """
     header, at = {}, {}  # key -> value, key -> its line
     block = []  # the group block's (line number, text) pairs
@@ -217,7 +243,7 @@ def parse_arc_file(text: str, plane: Plane | None = None) -> ParsedArc:
             raise ParseError(f"expected header assignment, got {line!r}", lineno)
         header[key.strip()] = val.strip()
         at[key.strip()] = lineno
-    point_tokens = [(lineno, tok) for lineno, line in lines for tok in line.split()]
+    point_lines = list(lines)
 
     if "r" not in header:
         raise ParseError("missing r= header")
@@ -227,31 +253,66 @@ def parse_arc_file(text: str, plane: Plane | None = None) -> ParsedArc:
     if plane is None or plane.spec != spec:
         plane = build_plane(spec)
 
-    q = spec.q
-    indices = []
-    seen = set()
-    for lineno, tok in point_tokens:
-        m = _TUPLE_RE.match(tok)
-        if not m:
-            raise ParseError(f"malformed point tuple {tok!r}", lineno)
-        x, y, z = (int(v) for v in m.groups())
-        if max(x, y, z) >= q:
-            raise ParseError(f"coordinate out of range in {tok!r}", lineno)
-        if not (x or y or z):
-            raise ParseError("the zero triple is not a point", lineno)
-        idx = int(plane.code_index[(x * q + y) * q + z])
-        if idx in seen:
-            raise ParseError(f"duplicate point {tok}", lineno)
-        seen.add(idx)
-        indices.append(idx)
+    indices = _read_points(point_lines, plane)
+    arc = Arc(plane=plane, points=tuple(indices), r_claimed=r)
+    return ParsedArc(spec=spec, arc=arc, generators=tuple(read_generators(block, spec)))
+
+
+def _read_points(point_lines, plane: Plane):
+    """The sorted point indices of the ``(a,b,c)`` tuples on the given
+    (line number, text) pairs, or ParseError at the earliest faulty one.
+
+    A line is matched whole and its coordinates found in one pass; a
+    line that does not match is split into tokens only to find its first
+    malformed one, and the tuples before it are still checked.  All
+    codes are then computed and looked up as one array, and each check
+    is one scan of a whole list: a coordinate clamped to q, a zero code,
+    a repeated point.  The scans stay off numpy's comparison kernels,
+    whose code pages a first call would add to the resident set."""
+    q = plane.spec.q
+    small = {str(v): v for v in range(q)}
+    vals, rows, malformed = [], [], None  # coordinates; (line number, its tuples, their count)
+    for lineno, line in point_lines:
+        if not _POINT_LINE_RE.fullmatch(line):
+            tokens = line.split()
+            k = next(i for i, tok in enumerate(tokens) if not _TUPLE_RE.fullmatch(tok))
+            malformed = ParseError(f"malformed point tuple {tokens[k]!r}", lineno)
+            line = " ".join(tokens[:k])
+        digits = _DIGITS_RE.findall(line)
+        coords = list(map(small.get, digits))
+        if None in coords:  # leading zeros or out of range: int() reads it, clamped so int32 holds it
+            coords = [min(int(v), q) for v in digits]
+        vals += coords
+        rows.append((lineno, line, len(coords) // 3))
+        if malformed:
+            break
+    xyz = np.array(vals, dtype=np.int32).reshape(-1, 3)
+    end = vals.index(q) // 3 if q in vals else len(xyz)  # the first tuple out of range
+    codes = ((xyz[:end, 0] * q + xyz[:end, 1]) * q + xyz[:end, 2]).tolist()
+    zero = codes.index(0) if 0 in codes else end  # the first zero triple
+    indices = plane.code_index[codes[:zero]].tolist()
+
+    def fault(j, message):
+        for lineno, line, count in rows:
+            if j < count:
+                return ParseError(message.format(line.split()[j]), lineno)
+            j -= count
+
+    if len(set(indices)) < len(indices):
+        seen = set()
+        for j, i in enumerate(indices):
+            if i in seen:
+                raise fault(j, "duplicate point {}")
+            seen.add(i)
+    if zero < end:
+        raise fault(zero, "the zero triple is not a point")
+    if end < len(xyz):
+        raise fault(end, "coordinate out of range in {!r}")
+    if malformed:
+        raise malformed
     if not indices:
         raise ParseError("no points given")
-    arc = Arc(plane=plane, points=tuple(sorted(indices)), r_claimed=r)
-
-    group = convention = admitted = None
-    if block:
-        group, convention, admitted = admitted_group(arc, read_generators(block, spec))
-    return ParsedArc(spec=spec, arc=arc, group=group, convention=convention, admitted=admitted)
+    return sorted(indices)
 
 
 def format_arc_file(spec: Field, points, r: int, plane: Plane, generators=()) -> str:

@@ -81,10 +81,11 @@ def _meta(field=None, inputs=()):
 
 def cmd_verify(args):
     pa = parse_arc_file(_read(args.arcfile))
-    convention, admitted = pa.convention, pa.admitted
     if args.group:
         gens = parse_group_file(_read(args.group), pa.spec)
         _, convention, admitted = admitted_group(pa.arc, gens)
+    else:
+        convention, admitted = pa.convention, pa.admitted
     report = verify_arc(pa.arc).to_dict()
     report.update(group_admitted=admitted, convention=convention, r_claimed=pa.arc.r_claimed)
     report["meta"] = _meta(pa.spec, [args.arcfile] + ([args.group] if args.group else []))

@@ -6,6 +6,10 @@ so the leftmost nonzero coordinate is 1.  A line (2-subspace) is stored by
 its dual triple d, normalized the same way, and consists of the points x
 with d.x = 0.  Enumeration is lexicographic by coded coordinates, so every
 plane, matrix, and orbit representative downstream is reproducible.
+`build_plane` reads each line's q+1 points straight off its equation
+d.x = 0: q of them set one coordinate of x to 1 and run a second over
+GF(q), the last sets the first to 0 and the second to 1, and d.x = 0
+gives the third coordinate.
 
 A `Plane` holds four fields: `spec`, `coords` (the points as an (n, 3)
 array), `code_index` (any nonzero vector -> its point) and `incidence`
@@ -88,46 +92,43 @@ class Plane:
         return f"Plane(q={self.spec.q}, {self.n} points)"
 
 
-def _normalized_triples(q: int):
-    out = [(0, 0, 1)]
-    out.extend((0, 1, c) for c in range(q))
-    out.extend((1, b, c) for b in range(q) for c in range(q))
-    return tuple(out)
-
-
-def _codes(vecs, q):
-    v = vecs.astype(np.int32)
-    return (v[..., 0] * q + v[..., 1]) * q + v[..., 2]
-
-
-def _cross(spec: Field, u, v):
-    """Cross products of the rows of u and v, shape (N, 3)."""
-    add, mul = spec.add_np, spec.mul_np
-    neg = mul[spec.p - 1]  # times -1, whose code is p - 1
-    return np.stack(
-        [add[mul[u[:, i], v[:, j]], neg[mul[u[:, j], v[:, i]]]] for i, j in ((1, 2), (2, 0), (0, 1))],
-        axis=-1,
-    )
-
-
 def build_plane(spec: Field) -> Plane:
     """Enumerate PG(2,q) and its full line/point incidence.
 
-    A line l with its first nonzero coordinate at k holds the independent
-    points u = l x e_(k+1) and v = l x e_(k+2), so its q+1 points are
-    u + t.v for t in GF(q), and v.
+    The points in lex order are (0,0,1), (0,1,c) and (1,b,c), and the
+    scalar multiples of each are entered in `code_index`.  Each line's
+    q+1 points are read off its equation, with t, x and y running over
+    GF(q):
+      line (1,b,c) holds (-(b + c.t), 1, t) and (-c, 0, 1),
+      line (0,1,c) holds (x, -c, 1) and (1, 0, 0),
+      line (0,0,1) holds (1, y, 0) and (0, 1, 0).
+    These vectors are not normalized: one `code_index` lookup names their
+    points, and each row is sorted.  Codes are int32, since q^3 nears the
+    int16 limit.
     """
     q = spec.q
-    triples = _normalized_triples(q)
-    assert len(triples) == gaussian_number(3, 1, q)
-    pts = np.array(triples, dtype=np.int16)
-    code_index = np.zeros(q**3, dtype=np.int16)
-    code_index[_codes(spec.mul_np[np.arange(1, q)[:, None, None], pts[None]], q)] = np.arange(len(pts))
-    k = np.array([t.index(1) for t in triples])  # the leading coordinate is 1
-    u, v = (_cross(spec, pts, np.eye(3, dtype=np.int16)[(k + s) % 3]) for s in (1, 2))
-    on = spec.add_np[u[:, None], spec.mul_np[np.arange(q)[None, :, None], v[:, None]]]
-    on_lines = code_index[_codes(np.concatenate([on, v[:, None]], axis=1), q)]
-    return Plane(spec, pts, code_index, np.sort(on_lines, axis=1))
+    n, qq = q * q + q + 1, q * q
+    t = np.arange(q, dtype=np.int32)
+    pts = np.zeros((n, 3), dtype=np.int16)
+    pts[0, 2] = pts[1 : q + 1, 1] = pts[q + 1 :, 0] = 1
+    pts[1 : q + 1, 2] = t
+    bc = pts[q + 1 :].reshape(q, q, 3)  # a view: row (b, c) is the point (1,b,c)
+    bc[..., 1], bc[..., 2] = t[:, None], t
+
+    lam = t[1:, None]
+    m = spec.mul_np[1:].astype(np.int32)  # m[lam - 1, a] = lam.a for nonzero lam
+    code_index = np.zeros(q**3, dtype=np.int16)  # lam.(0,0,1) has code lam: point 0
+    code_index[lam * q + m] = 1 + t  # lam.(0,1,c) = (0, lam, lam.c)
+    code_index[(lam * qq + q * m)[..., None] + m[:, None, :]] = q + 1 + np.arange(qq).reshape(q, q)
+
+    neg = spec.mul_np[spec.p - 1].astype(np.int32)  # times -1, whose code is p - 1
+    on = np.empty((n, q + 1), dtype=np.int32)  # the code of each point of each line
+    on[0, :q], on[0, q] = qq + q * t, q
+    on[1 : q + 1, :q], on[1 : q + 1, q] = qq * t + q * neg[:, None] + 1, qq
+    bc = on[q + 1 :].reshape(q, q, q + 1)  # a view: row (b, c) is the line (1,b,c)
+    bc[..., :q] = neg[spec.add_np[t[:, None, None], spec.mul_np[t[:, None], t]]] * qq + q + t
+    bc[..., q] = neg * qq + 1
+    return Plane(spec, pts, code_index, np.sort(code_index[on], axis=1))
 
 
 def incident(spec: Field, line, point) -> bool:

@@ -30,7 +30,7 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetExceededError, ParseError
-from .geometry import Plane, _codes, _cross, normalize_triple
+from .geometry import Plane, normalize_triple
 from .gf import Field, text_lines
 
 __all__ = [
@@ -423,6 +423,22 @@ def _normalizer_spaces(spec: Field, generators):
         if basis:
             spaces.append(basis)
     return spaces
+
+
+def _codes(vecs, q):
+    """The code (x*q + y)*q + z of each vector (x, y, z), in int32."""
+    v = vecs.astype(np.int32)
+    return (v[..., 0] * q + v[..., 1]) * q + v[..., 2]
+
+
+def _cross(spec: Field, u, v):
+    """Cross products of the rows of u and v, shape (N, 3)."""
+    add, mul = spec.add_np, spec.mul_np
+    neg = mul[spec.p - 1]  # times -1, whose code is p - 1
+    return np.stack(
+        [add[mul[u[:, i], v[:, j]], neg[mul[u[:, j], v[:, i]]]] for i, j in ((1, 2), (2, 0), (0, 1))],
+        axis=-1,
+    )
 
 
 def _map_vectors(spec: Field, mats, vecs):

@@ -322,11 +322,10 @@ class _Search:
     """One depth-first branch-and-bound pass from the root, bounding with
     its own LP, whose column bounds follow the assignment trail."""
 
-    def __init__(self, model, lp, incumbent, deadline):
+    def __init__(self, model, lp, incumbent):
         self.model = model
         self.lp = lp
         self.incumbent = incumbent
-        self.deadline = deadline
         self.value = [None] * model.n
         self.loads, self.guard, self.col = model.packed
         self.fixed_w = 0
@@ -358,7 +357,7 @@ class _Search:
 
     def _root_group(self):
         """The model's symmetry, None when it has no nontrivial permutation."""
-        perms = self.model.symmetry(self.deadline)  # BudgetExceededError past it
+        perms = self.model.symmetry(self.lp.deadline)  # BudgetExceededError past it
         if perms is None:
             return None
         self.symmetry = len(perms)
@@ -379,7 +378,7 @@ class _Search:
         if self.incumbent.hit:  # the LNS reached the target
             return
         self.nodes += 1
-        if time.monotonic() > self.deadline:
+        if time.monotonic() > self.lp.deadline:
             raise BudgetExceededError("deadline passed in the search")
         if self.loads & self.guard:
             return
@@ -540,7 +539,7 @@ def _solve(model, budget, target=None):
         return done(incumbent.x, incumbent.objective, FEASIBLE_FOUND, 0)
     if incumbent.objective >= root_bound:  # with a target, root_bound >= target > incumbent
         return done(incumbent.x, incumbent.objective, OPTIMAL, 1)
-    search = _Search(model, lp, incumbent, deadline)
+    search = _Search(model, lp, incumbent)
     try:
         search.run(_lns_phase(model, incumbent, budget, deadline))
         status = OPTIMAL if target is None else PROVED_INFEASIBLE

@@ -9,6 +9,12 @@ from pgarcs.group import closure, make_element
 _PLANES = {}
 
 
+def normalized_triples(q: int):
+    """The points of PG(2,q) as Python triples, in the plane's lex order:
+    (0,0,1), then (0,1,c), then (1,b,c)."""
+    return ((0, 0, 1), *((0, 1, c) for c in range(q)), *((1, b, c) for b in range(q) for c in range(q)))
+
+
 @pytest.fixture
 def plane_for():
     def get(q):

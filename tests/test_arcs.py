@@ -1,9 +1,10 @@
 import itertools
 import random
+import re
 
 import pytest
 
-from conftest import random_cyclic_group, s3_group
+from conftest import normalized_triples, random_cyclic_group, s3_group
 from pgarcs.arcs import (
     CORPUS,
     Arc,
@@ -19,8 +20,7 @@ from pgarcs.arcs import (
 )
 from pgarcs.condense import compress_arc
 from pgarcs.errors import NotAdmittedError, ParseError
-from pgarcs.geometry import _normalized_triples
-from pgarcs.gf import Field, field_for_order
+from pgarcs.gf import Field, field_for_order, text_lines
 from pgarcs.group import closure, conjugate_group, make_element, orbits
 
 
@@ -125,7 +125,7 @@ def test_generator_matrix_shape_and_independence(plane_for):
 
 def test_single_point_matrix(plane_for):
     plane = plane_for(2)
-    arc = Arc(plane=plane, points=(_normalized_triples(2).index((1, 0, 0)),))
+    arc = Arc(plane=plane, points=(normalized_triples(2).index((1, 0, 0)),))
     assert to_generator_matrix(arc) == ((1,), (0,), (0,))
 
 
@@ -290,7 +290,7 @@ def test_extension_field_tuples_need_not_be_normalized(plane_for):
     point = (1, 7, 18)
     scaled = "({},{},{})".format(*(spec.mul_t[13][c] for c in point))
     pa = parse_arc_file(header + scaled + "\n", plane=plane)
-    assert pa.arc.points == (_normalized_triples(25).index(point),)
+    assert pa.arc.points == (normalized_triples(25).index(point),)
     with pytest.raises(ParseError, match="line 7: duplicate point"):
         parse_arc_file(header + f"(1,7,18) {scaled}\n", plane=plane)
 
@@ -312,6 +312,96 @@ def test_corpus_text_unknown_name():
 def test_parse_arc_file_needs_a_point():
     with pytest.raises(ParseError, match="^no points given$"):
         parse_arc_file("q=5\nr=2\npoints:\n\n")
+
+
+Q5 = "q=5\np=5\ne=1\nr=2\npoints:\n"
+Q25 = "q=25\np=5\ne=2\npoly=2,1,1\nr=2\npoints:\n"
+
+
+# each fault with its exact message and line; 13.(1,7,18) = (13,2,22) over
+# GF(25) with poly 2,1,1
+@pytest.mark.parametrize(
+    ("text", "line", "message"),
+    (
+        (Q5 + "(1,0,0) (0,1)\n", 6, "malformed point tuple '(0,1)'"),
+        (Q5 + "(1,0,0)\n(0,5,1)\n", 7, "coordinate out of range in '(0,5,1)'"),
+        (Q5 + "(99999999999999999999999,0,1)\n", 6, "coordinate out of range in '(99999999999999999999999,0,1)'"),
+        (Q5 + "(1,0,0)\n\n(0,0,0) (0,1,0)\n", 8, "the zero triple is not a point"),
+        (Q5 + "(0,1,2) (1,1,1)\n(0,1,2)\n", 7, "duplicate point (0,1,2)"),
+        (Q5 + "(0,1,2) (1,1,1) (0,01,002)\n", 6, "duplicate point (0,01,002)"),
+        (Q25 + "(1,7,18) (0,0,1)\n(13,2,22)\n", 8, "duplicate point (13,2,22)"),
+        (Q5 + "# none\n\n", None, "no points given"),
+    ),
+    ids=("malformed", "range", "huge", "zero", "duplicate", "leading-zeros", "scaled-gf25", "none"),
+)
+def test_point_reader_names_the_fault_and_its_line(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_arc_file(text)
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+    assert err.value.line == line
+
+
+def reference_points(text, plane):
+    """The point section read one token at a time: the sorted point
+    indices, or the message of the first fault."""
+    lines = text_lines(text)
+    next(lineno for lineno, line in lines if line == "points:")
+    q, seen = plane.spec.q, set()
+    for lineno, line in lines:
+        for tok in line.split():
+            m = re.fullmatch(r"\((\d+),(\d+),(\d+)\)", tok)
+            if not m:
+                return f"line {lineno}: malformed point tuple {tok!r}"
+            x, y, z = (int(v) for v in m.groups())
+            if max(x, y, z) >= q:
+                return f"line {lineno}: coordinate out of range in {tok!r}"
+            if not (x or y or z):
+                return f"line {lineno}: the zero triple is not a point"
+            idx = int(plane.code_index[(x * q + y) * q + z])
+            if idx in seen:
+                return f"line {lineno}: duplicate point {tok}"
+            seen.add(idx)
+    return tuple(sorted(seen)) if seen else "no points given"
+
+
+def inject(rng, spec, tokens, pool):
+    """One fault (or a harmless rewrite) put into the token rows, made
+    from a tuple of the pool."""
+    row = rng.randrange(len(tokens))
+    at = rng.randrange(len(tokens[row]) + 1)
+    x, y, z = (int(v) for v in re.findall(r"\d+", rng.choice(pool)))
+    lam = rng.randrange(1, spec.q)
+    kind = rng.choice(("malformed", "range", "zero", "copy", "scaled", "zeros", "newline"))
+    tok = {
+        "malformed": rng.choice(("(1,2)", "(a,0,0)", "1,2,3", "(1,2,3", "((1,2,3)", "(1, 2,3)", "()")),
+        "range": f"({x},{spec.q + rng.randrange(3)},{z})",
+        "zero": "(0,0,0)",
+        "copy": f"({x},{y},{z})",
+        "scaled": "({},{},{})".format(*(spec.mul_t[lam][c] for c in (x, y, z))),
+        "zeros": f"(0{x},{y},00{z})",
+        "newline": "",
+    }[kind]
+    if kind == "newline":  # break a row in two
+        tokens[row : row + 1] = [tokens[row][:at], tokens[row][at:]]
+    else:
+        tokens[row].insert(at, tok)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_point_reader_agrees_with_a_token_loop(plane_for, name):
+    plane = plane_for(CORPUS[name][0])
+    head, body = corpus_text(name).split("points:\n")
+    pool, rng = body.split(), random.Random(name)
+    for _ in range(12):
+        tokens = [line.split() for line in body.splitlines()]
+        for _ in range(rng.randrange(2, 4)):
+            inject(rng, plane.spec, tokens, pool)
+        text = head + "points:\n" + "\n".join(" ".join(row) for row in tokens) + "\n"
+        try:
+            got = parse_arc_file(text, plane=plane).arc.points
+        except ParseError as err:
+            got = str(err)
+        assert got == reference_points(text, plane)
 
 
 def test_verify_arc_rejects_a_repeated_index(plane_for):

@@ -344,6 +344,21 @@ def test_verify_and_code_on_a_corpus_arc(tmp_path, capsys):
     assert (code["n"], code["k"], code["d"], code["n_minus_r"]) == (39, 3, 36, 36)
 
 
+def test_only_verify_admits_the_group_block(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(arc, generators):
+        calls.append(len(generators))
+        return admitted_group(arc, generators)
+
+    monkeypatch.setattr(arcs, "admitted_group", counted)
+    arcfile = corpus_file(tmp_path, "q25_r3_n39.arc")
+    assert run(capsys, ["code", arcfile])[0] == cli.EXIT_OK
+    assert calls == []
+    rc, out, _ = run(capsys, ["verify", arcfile])
+    assert (rc, json.loads(out)["group_admitted"], len(calls)) == (cli.EXIT_OK, True, 1)
+
+
 def test_verify_group_file_with_transposed_generators(tmp_path, capsys):
     pa = load_corpus_arc("q25_r3_n39.arc")
     spec = pa.spec

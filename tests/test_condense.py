@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_cyclic_group, s3_group
+from conftest import normalized_triples, random_cyclic_group, s3_group
 from pgarcs.arcs import Arc, verify_arc
 from pgarcs.condense import (
     NotAdmittedError,
@@ -14,7 +14,6 @@ from pgarcs.condense import (
     format_system,
     parse_system,
 )
-from pgarcs.geometry import _normalized_triples
 from pgarcs.gf import Field
 from pgarcs.group import closure, make_element, orbits
 from test_geometry import dot_product_incidence
@@ -24,7 +23,7 @@ C0_Q13 = ((0, 1, 0), (1, 0, 0), (0, 0, 12))
 
 def line_multiplicities(plane, points):
     """Points of the set on each line, from the dot-product reference."""
-    ref = dot_product_incidence(plane.spec, _normalized_triples(plane.spec.q))
+    ref = dot_product_incidence(plane.spec, normalized_triples(plane.spec.q))
     return ref[:, list(points)].sum(axis=1)
 
 
@@ -34,7 +33,7 @@ def test_trivial_group_condensation_is_incidence_matrix(plane_for):
     cs = condense(plane, od, 2)
     assert cs.ell == 7
     assert cs.w == (1,) * 7
-    assert np.array_equal(np.array(cs.A), dot_product_incidence(plane.spec, _normalized_triples(2)))
+    assert np.array_equal(np.array(cs.A), dot_product_incidence(plane.spec, normalized_triples(2)))
 
 
 def test_row_sums_s3_gf16(plane_for):

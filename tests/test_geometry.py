@@ -1,11 +1,13 @@
 from itertools import combinations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from conftest import normalized_triples
 from pgarcs.gf import Field, field_for_order
 from pgarcs.geometry import (
-    _normalized_triples,
     build_plane,
     gaussian_number,
     incident,
@@ -101,7 +103,7 @@ def test_incidence_matrix_row_col_sums():
 
 def test_matrix_matches_incidence_lists_q5():
     plane = build_plane(Field(5))
-    triples = _normalized_triples(5)
+    triples = normalized_triples(5)
     direct = np.array(
         [[1 if incident(plane.spec, l, p) else 0 for p in triples] for l in triples],
         dtype=np.uint8,
@@ -112,7 +114,7 @@ def test_matrix_matches_incidence_lists_q5():
 def test_duality_small_q():
     for q in (2, 3, 4, 5, 7, 8, 9):
         plane = build_plane(field_for_order(q))
-        triples = _normalized_triples(q)
+        triples = normalized_triples(q)
         # swapping the roles of points and lines gives the transpose
         dual = np.array(
             [[1 if incident(plane.spec, p, l) else 0 for l in triples] for p in triples],
@@ -130,11 +132,46 @@ def dot_product_incidence(spec, points):
     return (add[add[terms[0], terms[1]], terms[2]] == 0).astype(np.uint8)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 29, 31])
+# every q up to 31, each with the sha256 of its plane's coords, code_index
+# and incidence bytes, in that order, as the u + t.v construction (a
+# cross-product basis per line) built them
+PLANE_SHA256 = {
+    2: "e745db4e4f02d3d161e0d98822754b41522889d38032b57f75c4483a45058c1f",
+    3: "22ee4673e7a6bcc6b159596fa5c8b27ec298e6230021e852aaef83b26acd1952",
+    4: "7efad6b53c9b09077dddca006fbb20141878b7e08e1eb2f9fddede70b3e58198",
+    5: "2b228248ca8eb90453031fe92c012d3344eb841e200b212bb4d8d4cebb36681c",
+    7: "5e77ab88186759f176da8a77a44b4e9911739f20c57a154fb3df7669ac45dd76",
+    8: "843c784c6749cb756b5b5e88e2783ccf0cf6a2fe5736770342b87da7fbfc7ac0",
+    9: "d670ee2d6bff0b95fccae84f2de34d7e6b3ac2320ceffb2fd901f39951da371e",
+    11: "5f9ec624f72580cc6cf70d21d0f2a660585b2e5b0eaa214040929f48102ac817",
+    13: "0a1a66d97f0489bce2b2d5f5c72ad3fde19cf22795ae88db7750eb6096392497",
+    16: "1a0a2d7575cc733815c1020a26ed2977686fbf07053543a4d607ce49c08209ae",
+    17: "4cd5b44382d2cfcdbc9fef7649e67a52fc522637f4c1dbd0043b110a264d2e76",
+    19: "db9a27c26e8b6aa0ebf3c3c15dd8fdf05902bdb7317ef992608bd802aa066d0d",
+    23: "2a79903daddbc45c9e9e72c33c670bff0ae8c1be3607ce690dce46ca7a5bf6a7",
+    25: "1c307990147b35066cf87ff2d97a88ebd84a7fb9d10f58c73673c6d3b61706f3",
+    27: "7a3e00bb1e76495d23197cc753fe4506df32baf07c2ac6e484a74cfede47d61f",
+    29: "8617d6cbb28d97abc8dfbf7a9ef4314754fe4e31f4ee1eafe726fdc8f124fe71",
+    31: "673483b0287836983a1a05eec5236e51b56f23f99cdf3e15c3b7bbfe4434287e",
+}
+
+
+@pytest.mark.parametrize("q", PLANE_SHA256)
+def test_plane_bytes_are_pinned(q):
+    plane = build_plane(field_for_order(q))
+    digest = hashlib.sha256()
+    for a in (plane.coords, plane.code_index, plane.incidence):
+        assert a.dtype == np.int16
+        digest.update(a.tobytes())
+    assert plane.incidence.shape == (plane.n, q + 1)
+    assert digest.hexdigest() == PLANE_SHA256[q]
+
+
+@pytest.mark.parametrize("q", PLANE_SHA256)
 def test_plane_matches_the_dot_product(q):
     spec = field_for_order(q)
     plane = build_plane(spec)
-    triples = _normalized_triples(q)
+    triples = normalized_triples(q)
     assert plane.coords.dtype == plane.incidence.dtype == np.int16
     assert plane.coords.tolist() == [list(t) for t in triples]
     ref = dot_product_incidence(spec, triples)

@@ -3,12 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from conftest import s3_group
+from conftest import normalized_triples, s3_group
 from pgarcs.arcs import CORPUS, load_corpus_arc
 from pgarcs.condense import condense
 from pgarcs.errors import BudgetExceededError, ParseError
 from pgarcs.gf import Field, field_for_order
-from pgarcs.geometry import _normalized_triples, build_plane, incident
+from pgarcs.geometry import build_plane, incident
 from pgarcs.group import (
     GroupElement,
     apply_to_line,
@@ -50,7 +50,7 @@ def random_invertible(spec, rng):
 def test_identity_fixes_points():
     f = field_for_order(9)
     ident = identity_element(f)
-    for p in _normalized_triples(9):
+    for p in normalized_triples(9):
         assert apply_to_point(f, ident, p) == p
         assert apply_to_line(f, ident, p) == p
 
@@ -76,7 +76,7 @@ def test_line_image_matches_pointwise_image():
     f = field_for_order(8)
     plane = build_plane(f)
     rng = random.Random(2)
-    triples = _normalized_triples(8)
+    triples = normalized_triples(8)
     for _ in range(5):
         g = random_invertible(f, rng)
         for li in (0, 3, 17):
@@ -95,7 +95,7 @@ def test_permutations_match_the_pointwise_action(q):
     # Frobenius power all at once
     f = field_for_order(q)
     plane = build_plane(f)
-    triples = _normalized_triples(q)
+    triples = normalized_triples(q)
     idx = {t: i for i, t in enumerate(triples)}
     rng = random.Random(q)
     for frob in [0, 0] + [rng.randrange(1, f.e) for _ in range(3) if f.e > 1]:
@@ -110,7 +110,7 @@ def test_incidence_preserved_exhaustively(q):
     plane = build_plane(f)
     g = random_invertible(f, random.Random(q))
     pperm = point_permutation(plane, g)
-    triples = _normalized_triples(q)
+    triples = normalized_triples(q)
     lmap = [triples.index(apply_to_line(f, g, l)) for l in triples]
     for i, line in enumerate(triples):
         for j, pt in enumerate(triples):
@@ -159,7 +159,7 @@ def test_action_law_composition():
     g = random_invertible(f, rng)
     h = random_invertible(f, rng)
     gh = compose(f, g, h)
-    for p in _normalized_triples(9):
+    for p in normalized_triples(9):
         assert apply_to_point(f, gh, p) == apply_to_point(f, g, apply_to_point(f, h, p))
     assert compose(f, g, inverse(f, g)) == identity_element(f)
 
@@ -170,7 +170,7 @@ def test_frobenius_twist_composition():
     h = make_element(f, ((0, 1, 0), (0, 0, 1), (1, 0, 0)), frob=1)
     gh = compose(f, g, h)
     assert gh.frob == 0
-    for p in _normalized_triples(4):
+    for p in normalized_triples(4):
         assert apply_to_point(f, gh, p) == apply_to_point(f, g, apply_to_point(f, h, p))
     assert compose(f, h, inverse(f, h)) == identity_element(f)
 

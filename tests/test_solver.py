@@ -7,12 +7,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_cyclic_group
+from conftest import normalized_triples, random_cyclic_group
 from pgarcs import solver
 from pgarcs.arcs import load_corpus_arc
 from pgarcs.condense import CondensedSystem, condense, format_system, parse_system
 from pgarcs.errors import BudgetExceededError
-from pgarcs.geometry import _normalized_triples
 from pgarcs.gf import Field
 from pgarcs.group import closure, make_element, orbits
 from pgarcs.solver import (
@@ -160,11 +159,11 @@ def test_solver_agrees_with_oracle_on_random_cyclic_groups(plane_for, q, seed, r
     assert model.objective(hit.x) >= opt
     # a bare branch and bound from an empty incumbent must branch, here
     # under the normalizer's symmetry
-    search = _Search(model, _Lp(model), _Incumbent((0,) * model.n, 0), float("inf"))
+    search = _Search(model, _Lp(model), _Incumbent((0,) * model.n, 0))
     search.run()  # raises BudgetExceededError on a timeout
     assert search.incumbent.objective == opt
     assert model.check_feasible(search.incumbent.x)
-    proof = _Search(model, _Lp(model), _Incumbent((0,) * model.n, 0, opt + 1), float("inf"))
+    proof = _Search(model, _Lp(model), _Incumbent((0,) * model.n, 0, opt + 1))
     proof.run()
     assert not proof.incumbent.hit
 
@@ -294,7 +293,7 @@ def test_search_restores_lp_to_fresh_root(plane_for):
         lp = _Lp(model)
         fresh_bound, _ = _Lp(model).solve()
         warm = greedy_warm_start(model)
-        search = _Search(model, lp, _Incumbent(warm.x, warm.objective), float("inf"))
+        search = _Search(model, lp, _Incumbent(warm.x, warm.objective))
         search.run()
         assert search.nodes > 1
         assert list(lp.highs.getLp().col_lower_) == [0.0] * model.n
@@ -378,7 +377,7 @@ def test_trivial_group_condensation_solves_identically(plane_for):
     plane = plane_for(3)
     od = orbits(plane, closure(plane.spec, []))
     cs = condense(plane, od, 2)
-    assert [list(row) for row in cs.A] == dot_product_incidence(plane.spec, _normalized_triples(3)).tolist()
+    assert [list(row) for row in cs.A] == dot_product_incidence(plane.spec, normalized_triples(3)).tolist()
     model = IlpModel(cs)
     assert solve_max(model, budget=60).objective == exhaustive_oracle(model).objective
 
@@ -398,7 +397,7 @@ def test_search_branches_to_the_optimum_without_lp_optima(plane_for):
     lp = _Lp(model)
     lp.highs.setOptionValue("simplex_iteration_limit", 0)
     assert lp.solve() == (sum(model.w), None)
-    search = _Search(model, lp, _Incumbent((0,) * model.n, 0), float("inf"))
+    search = _Search(model, lp, _Incumbent((0,) * model.n, 0))
     search.run()  # raises BudgetExceededError on a timeout
     assert search.incumbent.objective == exhaustive_oracle(model).objective
     assert model.check_feasible(search.incumbent.x)
@@ -500,7 +499,7 @@ def test_an_lns_witness_stops_the_search(plane_for, monkeypatch):
     assert offers[-1] == (sol.x, 29)
     assert len(steps) <= model.n * (sol.nodes_explored + 1)
     warm = greedy_warm_start(model)
-    alone = _Search(model, _Lp(model), _Incumbent(warm.x, warm.objective, 29), float("inf"))
+    alone = _Search(model, _Lp(model), _Incumbent(warm.x, warm.objective, 29))
     alone.run()
     assert alone.incumbent.hit and alone.nodes == 34
 
@@ -540,7 +539,7 @@ def test_symmetry_listing_honours_the_deadline(plane_for, monkeypatch):
 
     fresh = full_plane_model(plane_for, 3, 2)
     monkeypatch.setattr(fresh, "symmetry", late)
-    search = _Search(fresh, _Lp(fresh), _Incumbent((0,) * fresh.n, 0), float("inf"))
+    search = _Search(fresh, _Lp(fresh), _Incumbent((0,) * fresh.n, 0))
     with pytest.raises(BudgetExceededError):
         search.run()
     assert search.nodes == 1
