@@ -222,7 +222,7 @@ def parse_arc_file(text: str, plane: Plane | None = None) -> ParsedArc:
     on first use that they stabilize the arc under the column action,
     falling back to the transposed action and recording which one
     succeeded.  A given plane is used only when it lies over the file's
-    field.
+    field, and then its field is the parse's: none is built.
     """
     header, at = {}, {}  # key -> value, key -> its line
     block = []  # the group block's (line number, text) pairs
@@ -248,9 +248,9 @@ def parse_arc_file(text: str, plane: Plane | None = None) -> ParsedArc:
     if "r" not in header:
         raise ParseError("missing r= header")
     r = header_int(header, "r", at)
-    spec = field_from_header(header, at)
+    spec = field_from_header(header, at, None if plane is None else plane.spec)
 
-    if plane is None or plane.spec != spec:
+    if plane is None or plane.spec is not spec:
         plane = build_plane(spec)
 
     indices = _read_points(point_lines, plane)

@@ -284,7 +284,7 @@ def main(argv=None) -> int:
         if summary is not None:
             (sys.stdout if args.out else sys.stderr).write(summary)
         return code
-    except (ParseError, BudgetExceededError, ValueError, OSError) as exc:
+    except (ParseError, BudgetExceededError, ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

@@ -5,14 +5,18 @@ line orbit and one column per point orbit: A[i][j] counts the points of
 point-orbit j lying on the representative line of line-orbit i.  A 0/1
 orbit-selection vector x with A.x <= r.u expands to a point set meeting
 every line in at most r points, of size w.x where w holds the point-orbit
-lengths.  A condensed system remembers how to list the permutations of
-its variables that the group's normalizer induces; a parsed one has none.
+lengths.  A is one read-only int64 array, shared by the model, its LP
+and the normalizer check.  A condensed system remembers how to list the
+permutations of its variables that the group's normalizer induces; a
+parsed one has none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+
+import numpy as np
 
 from .errors import NotAdmittedError, ParseError
 from .geometry import Plane
@@ -30,35 +34,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CondensedSystem:
     """Condensed constraint system: ell x ell counts, weights, bound r.
 
+    A is a read-only (ell, ell) int64 array and w a tuple.  Systems
+    compare by identity: an array field has no single truth value.
     normalizer, when set, is called with a deadline and returns what
     `group.normalizer_permutations` returns for this system.
     """
 
     ell: int
-    A: tuple
+    A: np.ndarray
     w: tuple
     r: int
     q: int
-    normalizer: object = field(default=None, compare=False, repr=False)
+    normalizer: object = field(default=None, repr=False)
 
     def row_sums(self):
-        return tuple(sum(row) for row in self.A)
+        return self.A.sum(axis=1)
 
 
 def _orbit_counts(plane: Plane, reps, orbit_of, ell):
     """Per representative, how many entries of its row of `incidence`
-    fall in each orbit of `orbit_of`."""
-    counts = []
-    for rep in reps:
-        row = [0] * ell
-        for j in plane.incidence[rep].tolist():
-            row[orbit_of[j]] += 1
-        counts.append(tuple(row))
-    return tuple(counts)
+    fall in each orbit of `orbit_of`, as a read-only (len(reps), ell)
+    int64 array: one bincount of the orbit ids, offset by ell per row."""
+    ids = np.array(orbit_of)[plane.incidence[list(reps)]] + ell * np.arange(len(reps))[:, None]
+    counts = np.bincount(ids.ravel(), minlength=len(reps) * ell).reshape(len(reps), ell)
+    counts.flags.writeable = False
+    return counts
 
 
 def condense(plane: Plane, orb: OrbitData, r: int) -> CondensedSystem:
@@ -69,7 +73,7 @@ def condense(plane: Plane, orb: OrbitData, r: int) -> CondensedSystem:
     A = _orbit_counts(plane, orb.line_rep, orb.point_orbit_of, orb.ell)
     normalizer = partial(normalizer_permutations, plane, orb, A, orb.weights)
     system = CondensedSystem(ell=orb.ell, A=A, w=orb.weights, r=r, q=q, normalizer=normalizer)
-    assert all(s == q + 1 for s in system.row_sums())
+    assert (system.row_sums() == q + 1).all()
     return system
 
 
@@ -85,11 +89,7 @@ def expand_solution(plane: Plane, orb: OrbitData, x):
     """Union of the selected point orbits, as a sorted index tuple."""
     if len(x) != orb.ell:
         raise ValueError(f"selection length {len(x)} != ell {orb.ell}")
-    pts = []
-    for j, xj in enumerate(x):
-        if xj:
-            pts.extend(orb.point_orbits[j])
-    return tuple(sorted(pts))
+    return tuple(sorted(i for orbit, xj in zip(orb.point_orbits, x) if xj for i in orbit))
 
 
 def compress_arc(orb: OrbitData, points):
@@ -98,28 +98,19 @@ def compress_arc(orb: OrbitData, points):
     Strict: raises NotAdmittedError unless the set is exactly a union of
     orbits, i.e. the group really is a group of automorphisms of the set.
     """
-    pset = set(points)
     counts = [0] * orb.ell
-    for i in pset:
+    for i in set(points):
         counts[orb.point_orbit_of[i]] += 1
-    x = []
-    for j, c in enumerate(counts):
-        if c == 0:
-            x.append(0)
-        elif c == len(orb.point_orbits[j]):
-            x.append(1)
-        else:
-            raise NotAdmittedError(
-                f"point set meets orbit {j} in {c} of {len(orb.point_orbits[j])} points"
-            )
-    return tuple(x)
+    for j, (c, size) in enumerate(zip(counts, orb.weights)):
+        if c not in (0, size):
+            raise NotAdmittedError(f"point set meets orbit {j} in {c} of {size} points")
+    return tuple(int(c > 0) for c in counts)
 
 
 def format_system(system: CondensedSystem) -> str:
     out = [f"ell={system.ell} q={system.q} r={system.r}"]
-    out.append("w: " + " ".join(str(v) for v in system.w))
-    for row in system.A:
-        out.append(" ".join(str(v) for v in row))
+    out.append("w: " + " ".join(map(str, system.w)))
+    out += (" ".join(map(str, row)) for row in system.A.tolist())
     return "\n".join(out) + "\n"
 
 
@@ -157,7 +148,9 @@ def parse_system(text: str) -> CondensedSystem:
     if len(lines) > 2 + ell:
         raise ParseError(f"more matrix rows than ell={ell}")
     w = _integers(lines[1][0], lines[1][1][2:], ell, "weights")
-    A = tuple(_integers(lineno, row, ell, "entries in a matrix row") for lineno, row in lines[2:])
-    if len(A) != ell:
-        raise ParseError(f"{len(A)} matrix rows, expected ell={ell}")
+    rows = [_integers(lineno, row, ell, "entries in a matrix row") for lineno, row in lines[2:]]
+    if len(rows) != ell:
+        raise ParseError(f"{len(rows)} matrix rows, expected ell={ell}")
+    A = np.array(rows, dtype=np.int64)  # OverflowError past int64
+    A.flags.writeable = False
     return CondensedSystem(ell=ell, A=A, w=w, r=r, q=q)

@@ -16,8 +16,8 @@ Fields are immutable after construction.
 Every text reader of the package (arc, group, condensed-system and
 bundled-table files) reads its lines through `text_lines`.  Field specs
 and condensed-system headers are `key_values` tokens; an arc file holds
-one ``key=value`` per header line.  Every field is built by
-`field_from_header`, the rule behind `parse_field_spec`.
+one ``key=value`` per header line.  Every field is read by `field_header`
+and built by `field_from_header`, the rule behind `parse_field_spec`.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "Field",
     "field_for_order",
     "field_from_header",
+    "field_header",
     "header_int",
     "is_irreducible",
     "is_prime",
@@ -209,10 +210,10 @@ def header_int(kv: dict, key: str, lines=None) -> int:
         raise ParseError(f"bad {key} value {kv[key]!r}", (lines or {}).get(key)) from None
 
 
-def field_from_header(kv: dict, lines=None) -> Field:
-    """The field that ``p= e= poly=`` keys name (e defaults to 1, poly is
-    read only for e > 1), or a prime ``q=`` alone; a ``q=`` next to p=
-    must equal p^e.  `lines` is as for `header_int`."""
+def field_header(kv: dict, lines=None):
+    """The (p, e, poly) that ``p= e= poly=`` keys name (e defaults to 1,
+    poly is read only for e > 1 and is None otherwise), or a prime ``q=``
+    alone.  `lines` is as for `header_int`."""
     at = lines or {}
     if "p" in kv:
         p = header_int(kv, "p", at)
@@ -229,10 +230,21 @@ def field_from_header(kv: dict, lines=None) -> Field:
             poly = [int(c) for c in kv["poly"].split(",")]
         except ValueError:
             raise ParseError(f"bad poly value {kv['poly']!r}", at.get("poly")) from None
-    try:
-        spec = Field(p, e, poly)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return p, e, poly
+
+
+def field_from_header(kv: dict, lines=None, known: Field | None = None) -> Field:
+    """The field that `field_header` reads; a ``q=`` next to p= must
+    equal p^e.  `known` is returned, and no field built, when the header
+    names it: the same p and e, and the same poly mod p."""
+    at = lines or {}
+    p, e, poly = field_header(kv, at)
+    spec = known
+    if known is None or (p, e) != (known.p, known.e) or (poly and tuple(c % p for c in poly)) != known.poly:
+        try:
+            spec = Field(p, e, poly)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
     if "q" in kv and header_int(kv, "q", at) != spec.q:
         raise ParseError(f"q={kv['q']} does not match p^e={spec.q}", at.get("q"))
     return spec

@@ -91,17 +91,18 @@ CERT_BITS = 20  # row duals are scaled by 2**CERT_BITS and floored
 
 
 class IlpModel:
-    """max w.x, A.x <= r, x in {0,1}^n, A square, all data nonnegative integers."""
+    """max w.x, A.x <= r, x in {0,1}^n, A square, all data nonnegative integers.
+    A is the system's read-only int64 array, shared with the LP, not copied."""
 
     def __init__(self, system: CondensedSystem):
         self.system = system
         self.n = system.ell
         self.w = tuple(system.w)
-        self.A = tuple(tuple(row) for row in system.A)
+        self.A = np.asarray(system.A, dtype=np.int64)
         self.r = system.r
-        if len(self.A) != self.n or any(len(row) != self.n for row in self.A):
+        if self.A.shape != (self.n, self.n):
             raise ValueError("constraint matrix is not ell x ell")
-        if any(v < 0 for row in self.A for v in row) or any(v < 0 for v in self.w):
+        if (self.A < 0).any() or any(v < 0 for v in self.w):
             raise ValueError("model data must be nonnegative")
         self._normalizer = system.normalizer
         self._symmetry = None
@@ -124,22 +125,24 @@ class IlpModel:
         load exceeds r.  `empty` is the load of no selection, `guard`
         holds the top bits and col[j] is column j, so x_j fits when
         (loads + col[j]) & guard is 0, and inserting or dropping it is one
-        addition.  Built on first use, so setting up a model does not pay.
+        addition.  Built on first use, a column as one base-2 string of its
+        b-bit fields, so setting up a model does not pay.
 
         No field ever carries into the next one: b - 1 bits hold r,
         and a b-bit field holds a full row plus one coefficient.  A search
         node fixes at most one variable to 1 and is pruned at once if that
         overflows; the greedy pass and the LNS insert only variables that fit.
         """
-        b = max(self.r, max(map(max, self.A))).bit_length() + 1
+        b = max(self.r, int(self.A.max())).bit_length() + 1
         half = 1 << (b - 1)
         ones = sum(1 << (b * i) for i in range(self.n))
         guard, empty = half * ones, (half - 1 - self.r) * ones
-        col = [sum(row[j] << (b * i) for i, row in enumerate(self.A)) for j in range(self.n)]
+        fields = [format(v, f"0{b}b") for v in range(half)]
+        col = [int("".join(map(fields.__getitem__, column)), 2) for column in self.A[::-1].T.tolist()]
         return empty, guard, col
 
     def check_feasible(self, x) -> bool:
-        return all(sum(a * x[j] for j, a in enumerate(row)) <= self.r for row in self.A)
+        return bool((self.A @ np.asarray(x) <= self.r).all())
 
     def objective(self, x) -> int:
         return sum(wj for wj, xj in zip(self.w, x) if xj)
@@ -167,7 +170,7 @@ class _Lp:
 
     def __init__(self, model: IlpModel, deadline=float("inf")):
         n, r = model.n, model.r
-        self.A = np.array(model.A, dtype=np.int64)
+        self.A = model.A
         self.r = r
         self.w_scaled = np.array(model.w, dtype=np.int64) << CERT_BITS
         rows, cols = np.nonzero(self.A)
@@ -231,7 +234,7 @@ def lp_bound(model: IlpModel, fixed=None):
     lp = _Lp(model)
     for j, v in (fixed or {}).items():
         lp.set_col(j, v, v)
-    if (lp.A @ lp.lo > lp.r).any():
+    if not model.check_feasible(lp.lo):
         return float("-inf")
     return lp.solve()[0]
 
@@ -246,12 +249,7 @@ def greedy_warm_start(model: IlpModel) -> Solution:
     _, obj = _greedy_fill(sorted(range(n), key=lambda j: (-w[j], j)), x, empty, 0, w, col, guard)
     xt = tuple(x)
     assert model.check_feasible(xt)
-    return Solution(
-        x=xt,
-        objective=obj,
-        status=FEASIBLE_FOUND,
-        wall_time=time.monotonic() - t0,
-    )
+    return Solution(x=xt, objective=obj, status=FEASIBLE_FOUND, wall_time=time.monotonic() - t0)
 
 
 def exhaustive_oracle(model: IlpModel) -> Solution:
@@ -260,7 +258,7 @@ def exhaustive_oracle(model: IlpModel) -> Solution:
     n = model.n
     if n > ORACLE_MAX_VARS:
         raise BudgetExceededError(f"exhaustive oracle limited to {ORACLE_MAX_VARS} variables, got {n}")
-    A = np.array(model.A, dtype=np.float32)
+    A = model.A.astype(np.float32)
     w = np.array(model.w, dtype=np.float32)
     shifts = np.arange(n, dtype=np.uint32)
     best_obj = -1
@@ -277,13 +275,7 @@ def exhaustive_oracle(model: IlpModel) -> Solution:
             best_obj = int(obj[i])
             best_mask = int(masks[i])
     x = tuple((best_mask >> j) & 1 for j in range(n))
-    return Solution(
-        x=x,
-        objective=best_obj,
-        status=OPTIMAL,
-        nodes_explored=1 << n,
-        wall_time=time.monotonic() - t0,
-    )
+    return Solution(x=x, objective=best_obj, status=OPTIMAL, nodes_explored=1 << n, wall_time=time.monotonic() - t0)
 
 
 class _Incumbent:

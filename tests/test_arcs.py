@@ -5,6 +5,7 @@ import re
 import pytest
 
 from conftest import normalized_triples, random_cyclic_group, s3_group
+from pgarcs import gf
 from pgarcs.arcs import (
     CORPUS,
     Arc,
@@ -302,6 +303,20 @@ def test_a_plane_over_another_field_is_not_used(plane_for):
     pa = parse_arc_file(f"p=5\ne=2\npoly=2,0,1\nr=2\n{points}", plane=plane)
     assert pa.spec == pa.arc.plane.spec == Field(5, 2, (2, 0, 1)) != plane.spec
     assert verify_arc(pa.arc).max_multiplicity == 2
+
+
+@pytest.mark.parametrize("poly", ("2,1,1", "7,6,11"))
+def test_a_parse_reuses_the_field_of_a_plane_over_it(plane_for, monkeypatch, poly):
+    plane, other = plane_for(25), plane_for(16)
+    calls = []
+    ring_tables = gf._ring_tables
+    monkeypatch.setattr(gf, "_ring_tables", lambda p, f: calls.append(p) or ring_tables(p, f))
+    text = corpus_text("q25_r3_n39.arc").replace("poly=2,1,1", f"poly={poly}")  # 7,6,11 = 2,1,1 mod 5
+    pa = parse_arc_file(text, plane=plane)
+    assert calls == [] and pa.spec is plane.spec and pa.arc.plane is plane
+    pa = parse_arc_file(text, plane=other)
+    assert calls == [5] and pa.spec == plane.spec and pa.spec is not plane.spec
+    assert pa.arc.points == load_corpus_arc("q25_r3_n39.arc").arc.points
 
 
 def test_corpus_text_unknown_name():

@@ -325,6 +325,13 @@ def test_solve_rejects_malformed_systems(tmp_path, capsys, text, message):
     assert err == f"error: {message}\n"
 
 
+def test_solve_reports_a_matrix_entry_past_int64(tmp_path, capsys):
+    system = tmp_path / "big.sys"
+    system.write_text(f"ell=1 q=2 r=1\nw: 1\n{2**63}\n")
+    rc, out, err = run(capsys, ["solve", "--system", str(system)])
+    assert (rc, out) == (cli.EXIT_ERROR, "") and err.startswith("error: ") and "\n" not in err[:-1]
+
+
 def corpus_file(tmp_path, name, text=None):
     path = tmp_path / name
     path.write_text(corpus_text(name) if text is None else text)

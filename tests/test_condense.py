@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
 from conftest import normalized_triples, random_cyclic_group, s3_group
-from pgarcs.arcs import Arc, verify_arc
+from pgarcs.arcs import CORPUS, Arc, load_corpus_arc, verify_arc
 from pgarcs.condense import (
     NotAdmittedError,
     compress_arc,
@@ -150,7 +151,7 @@ def test_system_file_round_trip(plane_for):
     cs = condense(plane, od, 3)
     text = format_system(cs)
     back = parse_system(text)
-    assert back.A == cs.A and back.w == cs.w and (back.ell, back.q, back.r) == (
+    assert np.array_equal(back.A, cs.A) and back.w == cs.w and (back.ell, back.q, back.r) == (
         cs.ell,
         cs.q,
         cs.r,
@@ -166,4 +167,89 @@ def test_system_file_comments(plane_for):
     lines = ["  # an indented comment", f"{header}  # header", f"{weights} # weights"]
     lines += [f"{row} # row {i}" for i, row in enumerate(rows)]
     back = parse_system("\n".join(lines) + "\n")
-    assert (back.ell, back.q, back.r, back.w, back.A) == (cs.ell, cs.q, cs.r, cs.w, cs.A)
+    assert (back.ell, back.q, back.r, back.w) == (cs.ell, cs.q, cs.r, cs.w)
+    assert np.array_equal(back.A, cs.A)
+
+
+# -- pinned systems ---------------------------------------------------------
+
+# sha256 of format_system at the arc's r and of the rows of
+# dual_condensation, for the group bundled with each corpus arc; taken
+# while A was still a tuple of tuples
+CORPUS_SYSTEM_SHA256 = {
+    "q16_r10_n144.arc": (
+        "f11c82391ec88f7369502ac68e6d2ee875433d88196bee56c3b4317a30f7875c",
+        "fe1d95583e7b8ae94dac4b62a748c8e19d7f5920bc553c6a981a7e6bd69efe60",
+    ),
+    "q25_r18_n418.arc": (
+        "3c6799dd8cd9f34918c079bd36d03c9e028fa0f0cd6a6b145f0c6fff34be5d29",
+        "371bd756b21b7f93717c2ff41428088351a699d7dc3988b148efa8e68cdb0c75",
+    ),
+    "q25_r3_n39.arc": (
+        "b748077d8d71c14a895fcfaa4d62d1c6ce3e8760325f156d228ef62ade2f23df",
+        "43aa5939e4a3be42481590b0a73815c9fec99d5448bbea65288d4c4b321841ce",
+    ),
+    "q27_r9_n201.arc": (
+        "e11ff9aa81e27941ffef037dbfae778417a821f38deacb88763a8c60f2b66431",
+        "b72c5e0072f5dc18906c5de2851e7669d46594cbe6140ad5dd8d066854d2a85c",
+    ),
+    "q29_r14_n364.arc": (
+        "335d0697913f8cba5060a45d112a21b6f3c7daa44780cd95eda4067c169d7c65",
+        "1a7517af4e55bfa5bc1e863b0e0525a8a2a99989d75833f030c86cceb50f31fd",
+    ),
+    "q29_r25_n697.arc": (
+        "8d7c2ee81d06cb5f451bef4f7070425e6f0ba2b838d770eb274293341100eb59",
+        "26e8df11ff4aa2ada9f55b273a7b1d431adc9336555cbbb6d09eb27d3446ce86",
+    ),
+    "q31_r25_n734.arc": (
+        "3a95efb2e4e1482edd466557f090a2aa897d28db34b0acc4682181f7f44858e1",
+        "dddd8d44a0a4f8c0fa01694c7653e8df92d8b589462df5ad211e714be10d2081",
+    ),
+}
+# sha256 of the format_system texts of the full plane for r = 1..q+1, joined
+FULL_PLANE_SYSTEMS_SHA256 = {
+    2: "a72d35cd5b23a6484785bc0d715d4d23be01054c37b42d5fcbbad11ccd508b9c",
+    3: "97c5455849eab42e623aba203908729f703465f5b06c4d552442d08b060ebfaf",
+    4: "2f997b765731c60a1d24ab5bd0feffa39799ab7ff8e773480b9fc6530d9dcb9c",
+    5: "29d734a836b877adff6da5a8c94366a8294c2752973ac165d8aa4b2aabf5af83",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def corpus_system(plane, name):
+    """The orbits of the group bundled with a corpus arc and its system at
+    the arc's r; `plane` lies over the arc's field."""
+    group = load_corpus_arc(name, plane=plane).group
+    od = orbits(plane, closure(plane.spec, group.generators))
+    return od, condense(plane, od, CORPUS[name][1])
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_SYSTEM_SHA256))
+def test_corpus_systems_are_pinned(plane_for, name):
+    plane = plane_for(CORPUS[name][0])
+    od, cs = corpus_system(plane, name)
+    dual = "".join(" ".join(str(int(v)) for v in row) + "\n" for row in dual_condensation(plane, od))
+    assert (sha256(format_system(cs)), sha256(dual)) == CORPUS_SYSTEM_SHA256[name]
+
+
+@pytest.mark.parametrize("q", sorted(FULL_PLANE_SYSTEMS_SHA256))
+def test_full_plane_systems_are_pinned(plane_for, q):
+    plane = plane_for(q)
+    od = orbits(plane, closure(plane.spec, []))
+    text = "".join(format_system(condense(plane, od, r)) for r in range(1, q + 2))
+    assert sha256(text) == FULL_PLANE_SYSTEMS_SHA256[q]
+
+
+def test_a_condensed_matrix_is_one_read_only_int64_array(plane_for):
+    plane = plane_for(7)
+    od = orbits(plane, random_cyclic_group(plane.spec, random.Random(12)))
+    cs = condense(plane, od, 3)
+    for system in (cs, parse_system(format_system(cs))):
+        assert type(system.A) is np.ndarray and system.A.dtype == np.int64
+        assert system.A.shape == (system.ell, system.ell) and not system.A.flags.writeable
+        with pytest.raises(ValueError):
+            system.A[0, 0] += 1
+    assert not dual_condensation(plane, od).flags.writeable

@@ -282,6 +282,24 @@ def test_field_from_header_rejects_bad_headers(kv, message):
 
 
 @pytest.mark.parametrize(
+    ("kv", "message"),
+    (
+        ({"r": "2"}, "missing field headers (p=/e= or prime q=)"),
+        ({"q": "26", "p": "5", "e": "2", "poly": "2,1,1"}, "line 1: q=26 does not match p^e=25"),
+        ({"p": "5", "e": "2", "poly": "1,0,1"}, "polynomial (1, 0, 1) is reducible over GF(5)"),
+        ({"p": "5", "e": "2"}, "extension field needs an irreducible polynomial"),
+        ({"p": "0", "e": "2", "poly": "2,1,1"}, "p=0 is not prime"),
+    ),
+)
+@pytest.mark.parametrize("known", (Field(3), Field(5, 2, (2, 1, 1))))
+def test_a_known_field_changes_no_header_error(kv, message, known):
+    for field in (None, known):
+        with pytest.raises(ParseError) as exc:
+            field_from_header(kv, {"q": 1, "p": 2, "e": 3, "poly": 4, "r": 5}, field)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
     ("args", "message"),
     (((2, 0), "e=0 must be positive"), ((3, 2, (1, 1)), "polynomial must have 3 coefficients")),
 )

@@ -321,10 +321,11 @@ def test_trivial_group_gives_all_of_pgl3():
 def assert_automorphisms(cs, perms):
     """Each permutation, applied to the columns, permutes the rows of A and
     fixes w; checked from the rows themselves, with no line permutation."""
-    rows = sorted(cs.A)
+    A = cs.A.tolist()
+    rows = sorted(A)
     for sigma in perms.tolist():
         assert [cs.w[j] for j in sigma] == list(cs.w)
-        assert sorted(tuple(row[j] for j in sigma) for row in cs.A) == rows
+        assert sorted([row[j] for j in sigma] for row in A) == rows
 
 
 def assert_group(perms):

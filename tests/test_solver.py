@@ -3,13 +3,14 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import normalized_triples, random_cyclic_group
 from pgarcs import solver
-from pgarcs.arcs import load_corpus_arc
+from pgarcs.arcs import CORPUS, load_corpus_arc
 from pgarcs.condense import CondensedSystem, condense, format_system, parse_system
 from pgarcs.errors import BudgetExceededError
 from pgarcs.gf import Field
@@ -30,6 +31,7 @@ from pgarcs.solver import (
     solve_feasible,
     solve_max,
 )
+from test_condense import corpus_system
 from test_geometry import dot_product_incidence
 
 C0_Q13 = ((0, 1, 0), (1, 0, 0), (0, 0, 12))
@@ -586,6 +588,69 @@ def test_a_model_has_one_row_and_one_column_per_orbit(A):
     # every row shares the one bound r, so a model must be ell x ell
     with pytest.raises(ValueError, match="not ell x ell"):
         IlpModel(CondensedSystem(ell=1, A=A, w=(1,), r=1, q=2))
+
+
+@pytest.mark.parametrize("as_array", (False, True))
+@pytest.mark.parametrize(
+    ("A", "w", "message"),
+    (
+        (((1,), (1,)), (1,), "constraint matrix is not ell x ell"),
+        (((1, 1),), (1,), "constraint matrix is not ell x ell"),
+        (((-1,),), (1,), "model data must be nonnegative"),
+        (((1,),), (-1,), "model data must be nonnegative"),
+    ),
+)
+def test_a_model_rejects_a_bad_system_given_as_tuples_or_an_array(A, w, message, as_array):
+    A = np.array(A) if as_array else A
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        IlpModel(CondensedSystem(ell=1, A=A, w=w, r=1, q=2))
+
+
+def test_a_model_shares_its_systems_array(plane_for):
+    model = full_plane_model(plane_for, 3, 2)
+    assert model.A is model.system.A and _Lp(model).A is model.A
+
+
+def test_packed_columns_match_the_entry_formula(plane_for):
+    widths = {}
+    for name in sorted(CORPUS):
+        _, cs = corpus_system(plane_for(CORPUS[name][0]), name)
+        empty, guard, col = IlpModel(cs).packed
+        A = cs.A.tolist()
+        b = max(cs.r, max(map(max, A))).bit_length() + 1
+        ones = sum(1 << (b * i) for i in range(cs.ell))
+        assert col == [sum(A[i][j] << (b * i) for i in range(cs.ell)) for j in range(cs.ell)]
+        assert (empty, guard) == (((1 << (b - 1)) - 1 - cs.r) * ones, (1 << (b - 1)) * ones)
+        widths[cs.ell] = b
+    assert max(widths) == 333 and max(widths.values()) == 6
+
+
+def row_loads(A, x):
+    return [sum(a * xj for a, xj in zip(row, x)) for row in A]
+
+
+def test_check_feasible_matches_a_row_loop(plane_for):
+    rng = random.Random(13)
+    peaks = set()
+    for name in ("q16_r10_n144.arc", "q25_r3_n39.arc"):
+        _, cs = corpus_system(plane_for(CORPUS[name][0]), name)
+        model, A = IlpModel(cs), cs.A.tolist()
+        for trial in range(30):
+            x = [int(rng.random() < 0.1 * (trial % 4)) for _ in range(cs.ell)]
+            if trial % 3:  # grow to a maximal selection, so some row loads reach r
+                x, loads = [0] * cs.ell, [0] * cs.ell
+                order = list(range(cs.ell))
+                rng.shuffle(order)
+                for j in order:
+                    if all(load + row[j] <= cs.r for load, row in zip(loads, A)):
+                        x[j] = 1
+                        loads = [load + row[j] for load, row in zip(loads, A)]
+                if trial % 3 == 2:  # one more variable overflows a row
+                    x[rng.choice([j for j in range(cs.ell) if not x[j]])] = 1
+            peak = max(row_loads(A, x))
+            assert model.check_feasible(tuple(x)) is (peak <= cs.r)
+            peaks.add((peak > cs.r) - (peak < cs.r))
+    assert peaks == {-1, 0, 1}
 
 
 def test_a_solve_accepts_only_one_thread(plane_for):
