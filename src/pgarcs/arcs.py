@@ -119,12 +119,8 @@ def admits_group(arc: Arc, group: Group) -> bool:
     """True iff every generator maps the point set onto itself."""
     if group.spec != arc.plane.spec:
         raise ValueError("arc and group live over different fields")
-    pset = set(arc.points)
-    for g in group.generators:
-        perm = point_permutation(arc.plane, g)
-        if {perm[i] for i in pset} != pset:
-            return False
-    return True
+    pts = np.array(sorted(set(arc.points)), dtype=np.int16)
+    return all(np.array_equal(np.sort(point_permutation(arc.plane, g)[pts]), pts) for g in group.generators)
 
 
 def admitted_group(arc: Arc, generators):
@@ -145,8 +141,8 @@ def admitted_group(arc: Arc, generators):
 def map_arc(alpha: GroupElement, arc: Arc) -> Arc:
     """Image arc under an invertible collineation; same cardinality."""
     perm = point_permutation(arc.plane, alpha)
-    pts = sorted(perm[i] for i in arc.points)
-    return Arc(plane=arc.plane, points=tuple(pts), r_claimed=arc.r_claimed)
+    pts = np.sort(perm[list(arc.points)])
+    return Arc(plane=arc.plane, points=tuple(pts.tolist()), r_claimed=arc.r_claimed)
 
 
 def to_generator_matrix(arc: Arc):

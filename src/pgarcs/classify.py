@@ -265,7 +265,8 @@ def _solve_class(plane, rep, r, n, budget):
 def _load_checkpoint(path, key):
     """The records a checkpoint holds for the sweep `key`, with the fields
     older records lack; a file from another sweep, or of another shape,
-    is refused with a ValueError naming it, not replaced."""
+    or a record filed under another class id or with a budget that is no
+    number, is refused with a ValueError naming it, not replaced."""
     if not (path and os.path.exists(path)):
         return {}
     with open(path, encoding="utf-8") as fh:
@@ -281,6 +282,10 @@ def _load_checkpoint(path, key):
     for k, rec in classes.items():
         if not (k.isdecimal() and isinstance(rec, dict) and {"id", "status"} <= rec.keys()):
             raise ValueError(f"checkpoint {path}: class {k!r} is not an integer id with an id and status record")
+        if not (type(rec["id"]) is int and rec["id"] == int(k)):
+            raise ValueError(f"checkpoint {path}: class {k!r} holds the record of class {rec['id']!r}")
+        if type(rec.get("budget")) not in (int, float, type(None)):
+            raise ValueError(f"checkpoint {path}: class {k!r} has budget {rec['budget']!r}, not a number")
     records = {int(k): v for k, v in classes.items()}
     for rec in records.values():
         rec.setdefault("symmetry", 1)  # written before the search used any

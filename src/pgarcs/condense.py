@@ -6,9 +6,10 @@ point-orbit j lying on the representative line of line-orbit i.  A 0/1
 orbit-selection vector x with A.x <= r.u expands to a point set meeting
 every line in at most r points, of size w.x where w holds the point-orbit
 lengths.  A is one read-only int64 array, shared by the model, its LP
-and the normalizer check.  A condensed system remembers how to list the
-permutations of its variables that the group's normalizer induces; a
-parsed one has none.
+and the normalizer check, and counted straight from the partition's
+one orbit-id array per side.  A condensed system remembers how to list
+the permutations of its variables that the group's normalizer induces;
+a parsed one has none.
 """
 
 from __future__ import annotations
@@ -59,14 +60,16 @@ def _orbit_counts(plane: Plane, reps, orbit_of, ell):
     """Per representative, how many entries of its row of `incidence`
     fall in each orbit of `orbit_of`, as a read-only (len(reps), ell)
     int64 array: one bincount of the orbit ids, offset by ell per row."""
-    ids = np.array(orbit_of)[plane.incidence[list(reps)]] + ell * np.arange(len(reps))[:, None]
+    ids = orbit_of[plane.incidence[reps]] + ell * np.arange(len(reps))[:, None]
     counts = np.bincount(ids.ravel(), minlength=len(reps) * ell).reshape(len(reps), ell)
     counts.flags.writeable = False
     return counts
 
 
 def condense(plane: Plane, orb: OrbitData, r: int) -> CondensedSystem:
-    """Build the condensed system for the orbit partition and bound r."""
+    """Build the condensed system for the orbit partition and bound r.
+    Orbits are numbered in the order of their least members; row i counts
+    the points of each point orbit on line orbit i's least member."""
     q = plane.spec.q
     if not 1 <= r <= q + 1:
         raise ValueError(f"r={r} out of range 1..{q + 1}")
@@ -89,7 +92,7 @@ def expand_solution(plane: Plane, orb: OrbitData, x):
     """Union of the selected point orbits, as a sorted index tuple."""
     if len(x) != orb.ell:
         raise ValueError(f"selection length {len(x)} != ell {orb.ell}")
-    return tuple(sorted(i for orbit, xj in zip(orb.point_orbits, x) if xj for i in orbit))
+    return tuple(np.flatnonzero(np.asarray(x)[orb.point_orbit_of]).tolist())
 
 
 def compress_arc(orb: OrbitData, points):
@@ -98,13 +101,12 @@ def compress_arc(orb: OrbitData, points):
     Strict: raises NotAdmittedError unless the set is exactly a union of
     orbits, i.e. the group really is a group of automorphisms of the set.
     """
-    counts = [0] * orb.ell
-    for i in set(points):
-        counts[orb.point_orbit_of[i]] += 1
-    for j, (c, size) in enumerate(zip(counts, orb.weights)):
-        if c not in (0, size):
-            raise NotAdmittedError(f"point set meets orbit {j} in {c} of {size} points")
-    return tuple(int(c > 0) for c in counts)
+    counts = np.bincount(orb.point_orbit_of[list(set(points))], minlength=orb.ell)
+    bad = np.flatnonzero((counts != 0) & (counts != orb.weights))
+    if len(bad):
+        j = bad[0]
+        raise NotAdmittedError(f"point set meets orbit {j} in {counts[j]} of {orb.weights[j]} points")
+    return tuple(np.minimum(counts, 1).tolist())
 
 
 def format_system(system: CondensedSystem) -> str:

@@ -6,7 +6,9 @@ Frobenius first, then the matrix, acting on column vectors), taken up to
 scalars.  Matrices are stored scalar-normalized: the first nonzero entry
 in row-major order equals 1, which makes equality and hashing of
 projective classes exact.  Groups are built by breadth-first closure from
-generators, and orbit partitions on points and lines are computed from
+generators.  The orbit partition of each side, points and lines, is one
+read-only int16 array of orbit ids, orbits numbered in the order of
+their least members; `orbits` labels both sides in one numpy loop over
 the generators' permutations.  A permutation maps all points at once:
 numpy applies the Frobenius table and the matrix to `Plane.coords` and
 looks the image vectors up in `Plane.code_index`; `apply_to_point` and
@@ -226,8 +228,8 @@ class Group:
 
 
 def closure(spec: Field, generators, cap: int = CLOSURE_CAP) -> Group:
-    """Breadth-first closure of the generators, deterministic element order."""
-    gens = [g if isinstance(g, GroupElement) else make_element(spec, g) for g in generators]
+    """Breadth-first closure of GroupElement generators, deterministic order."""
+    gens = tuple(generators)
     ident = identity_element(spec)
     elements = [ident]
     seen = {ident}
@@ -260,14 +262,16 @@ def conjugate_group(spec: Field, alpha: GroupElement, group: Group) -> Group:
 
 
 def point_permutation(plane: Plane, g: GroupElement):
-    """The permutation of point indices induced by the element: every
-    point mapped at once, as apply_to_point maps one."""
+    """The permutation of point indices the element induces, a read-only
+    int16 array: every point mapped at once, as apply_to_point maps one."""
     spec = plane.spec
     pts = plane.coords
     if g.frob:
         pts = np.array([spec.frob(a, g.frob) for a in range(spec.q)], dtype=np.int16)[pts]
     image = _map_vectors(spec, np.array(g.mat, dtype=np.int16).reshape(1, 9), pts)[0]
-    return tuple(plane.code_index[_codes(image, spec.q)].tolist())
+    perm = plane.code_index[_codes(image, spec.q)]
+    perm.flags.writeable = False
+    return perm
 
 
 def line_permutation(plane: Plane, g: GroupElement):
@@ -276,70 +280,64 @@ def line_permutation(plane: Plane, g: GroupElement):
     return point_permutation(plane, GroupElement(mat_transpose(matinv3(plane.spec, g.mat)), g.frob))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitData:
-    """Orbit partitions of a group on points and lines.
+    """Orbit partitions of a group on points and lines, one array per side.
 
-    point_orbits/line_orbits are sorted index tuples; representatives are
-    the minimal indices; weights are the point-orbit lengths; ell is the
-    common orbit count; *_orbit_of map an index to its orbit id;
-    generators are those of the group that made the partition.
+    Orbits are numbered in the order of their least members.  *_orbit_of
+    (read-only int16) map an index to its orbit id; *_rep (read-only) are
+    the least members, ascending; weights, a tuple, the point-orbit
+    lengths; ell the common orbit count; generators those of the group
+    that made the partition.  Partitions compare by identity.
     """
 
-    point_orbits: tuple
-    line_orbits: tuple
-    point_rep: tuple
-    line_rep: tuple
+    point_orbit_of: np.ndarray
+    line_orbit_of: np.ndarray
+    point_rep: np.ndarray
+    line_rep: np.ndarray
     weights: tuple
     ell: int
-    point_orbit_of: tuple
-    line_orbit_of: tuple
     generators: tuple = ()
 
 
-def _partition(n, perms):
-    orbit_of = [-1] * n
-    orbits_ = []
-    for start in range(n):
-        if orbit_of[start] >= 0:
-            continue
-        oid = len(orbits_)
-        stack = [start]
-        orbit_of[start] = oid
-        members = [start]
-        while stack:
-            u = stack.pop()
-            for perm in perms:
-                v = perm[u]
-                if orbit_of[v] < 0:
-                    orbit_of[v] = oid
-                    members.append(v)
-                    stack.append(v)
-        orbits_.append(tuple(sorted(members)))
-    return tuple(orbits_), tuple(orbit_of)
-
-
 def orbits(plane: Plane, group: Group) -> OrbitData:
-    """Orbit partition from the generators' point/line permutations."""
+    """Orbit partitions from the generators' point/line permutations,
+    labelled together: points are indices 0..n-1, lines n..2n-1."""
     if group.spec != plane.spec:
         raise ValueError("group and plane live over different fields")
-    pperms = [point_permutation(plane, g) for g in group.generators]
-    lperms = [line_permutation(plane, g) for g in group.generators]
-    point_orbits, point_orbit_of = _partition(plane.n, pperms)
-    line_orbits, line_orbit_of = _partition(plane.n, lperms)
-    if len(point_orbits) != len(line_orbits):
+    n = plane.n
+    perms = [np.concatenate([point_permutation(plane, g), line_permutation(plane, g) + n]) for g in group.generators]
+    perms = np.array(perms, dtype=np.int16).reshape(-1, 2 * n)
+    # Each round takes the least label over x and its generator images,
+    # then the label of that label, so label[x] stays in x's orbit and
+    # <= x, and never grows.  A round that changes nothing leaves label <=
+    # label[s] for every generator s, an equality round a cycle of s, so
+    # the label is constant on each orbit: the orbit's least member.  With
+    # no generators every index is its own orbit.
+    label = np.arange(2 * n)
+    while len(perms):
+        new = np.minimum(label, label[perms].min(axis=0))
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    least = label == np.arange(2 * n)
+    point_rep, line_rep = np.flatnonzero(least[:n]), np.flatnonzero(least[n:])
+    ell = len(point_rep)
+    if len(line_rep) != ell:
         raise AssertionError("point and line orbit counts must agree")
-    weights = tuple(len(o) for o in point_orbits)
-    assert sum(weights) == plane.n
+    rank = np.cumsum(least) - 1  # orbit j holds the j-th least member
+    point_orbit_of = rank[label[:n]].astype(np.int16)
+    line_orbit_of = (rank[label[n:]] - ell).astype(np.int16)
+    for a in (point_orbit_of, line_orbit_of, point_rep, line_rep):
+        a.flags.writeable = False
     return OrbitData(
-        point_orbits=point_orbits,
-        line_orbits=line_orbits,
-        point_rep=tuple(o[0] for o in point_orbits),
-        line_rep=tuple(o[0] for o in line_orbits),
-        weights=weights,
-        ell=len(point_orbits),
         point_orbit_of=point_orbit_of,
         line_orbit_of=line_orbit_of,
+        point_rep=point_rep,
+        line_rep=line_rep,
+        weights=tuple(np.bincount(point_orbit_of).tolist()),
+        ell=ell,
         generators=group.generators,
     )
 
@@ -525,10 +523,8 @@ def normalizer_permutations(plane: Plane, orb: OrbitData, A, w, deadline=math.in
     pts, code_index = plane.coords, plane.code_index
     # probes: the unit vectors, whose images are h's columns, then the
     # representative of every point orbit
-    probe = np.concatenate([np.eye(3, dtype=np.int16), pts[list(orb.point_rep)]])
-    point_orbit = np.array(orb.point_orbit_of, dtype=np.int16)
-    line_orbit = np.array(orb.line_orbit_of, dtype=np.int16)
-    line_rep = pts[list(orb.line_rep)]  # lines and points share their triples
+    probe = np.concatenate([np.eye(3, dtype=np.int16), pts[orb.point_rep]])
+    line_rep = pts[orb.line_rep]  # lines and points share their triples
     A = np.array(A, dtype=np.int16)
     w = np.array(w)
     rows, cols = np.nonzero(A)
@@ -545,7 +541,7 @@ def normalizer_permutations(plane: Plane, orb: OrbitData, A, w, deadline=math.in
         crosses = (_cross(spec, b, c), _cross(spec, c, a), _cross(spec, a, b))
         t = spec.mul_np[a, crosses[0]]  # det = a . (b x c)
         invertible = np.flatnonzero(spec.add_np[spec.add_np[t[:, 0], t[:, 1]], t[:, 2]])
-        sigma = point_orbit[code_index[_codes(images[invertible, 3:], q)]]
+        sigma = orb.point_orbit_of[code_index[_codes(images[invertible, 3:], q)]]
         order += len(sigma)
         kernel += int((sigma == ident).all(axis=1).sum())
         keys, first = np.unique(sigma.astype(np.int64) @ weights, return_index=True)
@@ -557,7 +553,7 @@ def normalizer_permutations(plane: Plane, orb: OrbitData, A, w, deadline=math.in
         sigma = sigma[first]
         # h^-T is proportional to the matrix with columns b x c, c x a, a x b
         cof = np.stack([x[invertible[first]] for x in crosses], axis=-1).reshape(len(first), 9)
-        tau = line_orbit[code_index[_codes(_map_vectors(spec, cof, line_rep), q)]]
+        tau = orb.line_orbit_of[code_index[_codes(_map_vectors(spec, cof, line_rep), q)]]
         if not (
             _is_permutation(sigma)
             and _is_permutation(tau)

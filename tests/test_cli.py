@@ -252,10 +252,28 @@ def test_exclude_refuses_the_checkpoint_of_another_sweep(tmp_path, capsys):
             '{"key": "q=3 r=2 n=5", "classes": {"x": {"id": 1, "status": "Timeout"}}}',
             ": class 'x' is not an integer id with an id and status record",
         ),
+        (
+            '{"key": "q=3 r=2 n=5", "classes": {"2": {"id": 99, "status": "ProvedInfeasible"}}}',
+            ": class '2' holds the record of class 99",
+        ),
+        (
+            '{"key": "q=3 r=2 n=5", "classes": {"2": {"id": 2, "status": "Timeout", "budget": "x"}}}',
+            ": class '2' has budget 'x', not a number",
+        ),
         ("not json", " is not JSON: Expecting value: line 1 column 1 (char 0)"),
         (b"\xff\xfe\x00", " is not JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     ),
-    ids=("file-list", "classes-list", "record-list", "record-without-status", "class-key-x", "not-json", "not-utf-8"),
+    ids=(
+        "file-list",
+        "classes-list",
+        "record-list",
+        "record-without-status",
+        "class-key-x",
+        "record-of-another-class",
+        "budget-not-a-number",
+        "not-json",
+        "not-utf-8",
+    ),
 )
 def test_exclude_refuses_a_checkpoint_of_another_shape(tmp_path, capsys, text, message):
     path = tmp_path / "checkpoint.json"

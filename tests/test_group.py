@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import normalized_triples, s3_group
 from pgarcs.arcs import CORPUS, load_corpus_arc
+from pgarcs.classify import enumerate_cyclic_classes
 from pgarcs.condense import condense
 from pgarcs.errors import BudgetExceededError, ParseError
 from pgarcs.gf import Field, field_for_order
@@ -100,8 +102,10 @@ def test_permutations_match_the_pointwise_action(q):
     rng = random.Random(q)
     for frob in [0, 0] + [rng.randrange(1, f.e) for _ in range(3) if f.e > 1]:
         g = GroupElement(random_invertible(f, rng).mat, frob)
-        assert point_permutation(plane, g) == tuple(idx[apply_to_point(f, g, p)] for p in triples)
-        assert line_permutation(plane, g) == tuple(idx[apply_to_line(f, g, l)] for l in triples)
+        for perm in (point_permutation(plane, g), line_permutation(plane, g)):
+            assert perm.dtype == np.int16 and not perm.flags.writeable
+        assert point_permutation(plane, g).tolist() == [idx[apply_to_point(f, g, p)] for p in triples]
+        assert line_permutation(plane, g).tolist() == [idx[apply_to_line(f, g, l)] for l in triples]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -181,7 +185,7 @@ def test_trivial_group_orbits():
     od = orbits(plane, closure(f, []))
     assert od.ell == 13
     assert all(w == 1 for w in od.weights)
-    assert od.point_rep == tuple(range(13))
+    assert od.point_rep.tolist() == list(range(13))
 
 
 def test_s3_orbits_gf29():
@@ -189,7 +193,7 @@ def test_s3_orbits_gf29():
     plane = build_plane(f)
     od = orbits(plane, closure(f, [make_element(f, m) for m in S3_GENS]))
     assert sum(od.weights) == 871
-    assert len(od.point_orbits) == len(od.line_orbits) == od.ell
+    assert len(set(od.point_orbit_of.tolist())) == len(set(od.line_orbit_of.tolist())) == od.ell
 
 
 def test_c0_orbit_lengths():
@@ -197,7 +201,7 @@ def test_c0_orbit_lengths():
     plane = build_plane(f)
     od = orbits(plane, closure(f, [make_element(f, C0_Q13)]))
     assert set(od.weights) <= {1, 2}
-    assert all(len(o) in (1, 2) for o in od.line_orbits)
+    assert set(np.bincount(od.line_orbit_of).tolist()) <= {1, 2}
 
 
 def test_orbit_partition_properties():
@@ -205,14 +209,18 @@ def test_orbit_partition_properties():
     plane = build_plane(f)
     g = closure(f, [random_invertible(f, random.Random(5))])
     od = orbits(plane, g)
-    covered = sorted(i for o in od.point_orbits for i in o)
+    members = [np.flatnonzero(od.point_orbit_of == oid).tolist() for oid in range(od.ell)]
+    covered = sorted(i for o in members for i in o)
     assert covered == list(range(plane.n))
     assert sum(od.weights) == plane.n
-    for oid, orbit in enumerate(od.point_orbits):
+    perm = point_permutation(plane, g.generators[0])
+    for oid, orbit in enumerate(members):
         assert od.point_rep[oid] == min(orbit)
         for i in orbit:
             assert od.point_orbit_of[i] == oid
         assert g.order % len(orbit) == 0
+        assert od.weights[oid] == len(orbit)
+        assert sorted(perm[orbit].tolist()) == orbit  # closed under the generator
 
 
 def test_conjugate_group():
@@ -384,3 +392,84 @@ def test_normalizer_limits():
     cs = condense(plane, od, 2)
     with pytest.raises(BudgetExceededError):
         normalizer_permutations(plane, od, cs.A, cs.w, deadline=0.0)
+
+
+# -- the orbit partitions, pinned and checked by brute force ---------------
+
+
+def orbit_id_groups(key, plane_for):
+    """(plane, group) pairs: the corpus groups, the same conjugated by a
+    seeded alpha, or every nontrivial cyclic class for a prime p."""
+    if key in ("corpus", "corpus-conjugated"):
+        pairs = []
+        for name in sorted(CORPUS):
+            plane = plane_for(CORPUS[name][0])
+            group = load_corpus_arc(name, plane=plane).group
+            if key == "corpus-conjugated":
+                group = conjugate_group(plane.spec, random_invertible(plane.spec, random.Random(name)), group)
+            pairs.append((plane, group))
+        return pairs
+    plane = plane_for(key)
+    return [(plane, closure(plane.spec, [c.generator])) for c in enumerate_cyclic_classes(key) if not c.is_trivial]
+
+
+ORBIT_DIGESTS = {
+    "corpus": "21f35f71503b927e95cef30e8364db82063dae107ac7472323ac61c655153836",
+    "corpus-conjugated": "479d668b72553d62d58beaa823624a820b077653158a3271be8c2f303473f4bf",
+    5: "66d5a2bb613b404d10987846f0e5a86b78d311c6572ac92a5c2397ebede87241",
+    7: "5a891e369549dcd7c1546f933eba0315c211259af7150cbb8d6195f188761595",
+    13: "786cbfbaaea06f853752d229d484ccb1dc850f81b8fbca2fe1db84305297e109",
+}
+
+
+@pytest.mark.parametrize("key", list(ORBIT_DIGESTS))
+def test_the_orbit_ids_are_frozen(plane_for, key):
+    # orbit j holds the j-th least member, so the numbering is that of a
+    # scan of the indices in ascending order
+    rows = []
+    for plane, group in orbit_id_groups(key, plane_for):
+        od = orbits(plane, group)
+        rows.append((np.asarray(od.point_orbit_of).tolist(), np.asarray(od.line_orbit_of).tolist()))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == ORBIT_DIGESTS[key]
+
+
+def brute_force_orbits(spec, group, apply):
+    """(orbit id of each index, least members, orbit lengths) from every
+    element's image of every triple, ids ranked by least member."""
+    triples = normalized_triples(spec.q)
+    index = {t: i for i, t in enumerate(triples)}
+    members = [min(index[apply(spec, e, t)] for e in group.elements) for t in triples]
+    reps = sorted(set(members))
+    rank = {m: j for j, m in enumerate(reps)}
+    return [rank[m] for m in members], reps, [members.count(m) for m in reps]
+
+
+def singer_group():
+    spec = Field(13)
+    singer = next(c for c in enumerate_cyclic_classes(13) if c.projective_order == 183)
+    return closure(spec, [singer.generator])
+
+
+@pytest.mark.parametrize(
+    "make",
+    (
+        lambda: closure(Field(3), []),
+        lambda: s3_group(Field(7)),
+        lambda: closure(field_for_order(4), [make_element(field_for_order(4), ((0, 1, 0), (0, 0, 1), (2, 0, 0)), frob=1)]),
+        lambda: closure(field_for_order(9), [GroupElement(((1, 0, 0), (0, 0, 1), (0, 1, 0)), 1)]),
+        singer_group,
+    ),
+    ids=("trivial-q3", "s3-q7", "semilinear-q4", "semilinear-q9", "singer-183-q13"),
+)
+def test_orbits_match_the_images_under_every_element(plane_for, make):
+    group = make()
+    plane = plane_for(group.spec.q)
+    od = orbits(plane, group)
+    point_of, point_reps, weights = brute_force_orbits(group.spec, group, apply_to_point)
+    line_of, line_reps, _ = brute_force_orbits(group.spec, group, apply_to_line)
+    assert np.asarray(od.point_orbit_of).tolist() == point_of
+    assert np.asarray(od.line_orbit_of).tolist() == line_of
+    assert np.asarray(od.point_rep).tolist() == point_reps
+    assert np.asarray(od.line_rep).tolist() == line_reps
+    assert list(od.weights) == weights
+    assert od.ell == len(point_reps) == len(line_reps)
