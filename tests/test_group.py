@@ -438,10 +438,10 @@ def brute_force_orbits(spec, group, apply):
     element's image of every triple, ids ranked by least member."""
     triples = normalized_triples(spec.q)
     index = {t: i for i, t in enumerate(triples)}
-    members = [min(index[apply(spec, e, t)] for e in group.elements) for t in triples]
-    reps = sorted(set(members))
+    least = [min(index[apply(spec, e, t)] for e in group.elements) for t in triples]
+    reps = sorted(set(least))
     rank = {m: j for j, m in enumerate(reps)}
-    return [rank[m] for m in members], reps, [members.count(m) for m in reps]
+    return [rank[m] for m in least], reps, [least.count(m) for m in reps]
 
 
 def singer_group():
