@@ -306,8 +306,8 @@ def orbits(plane: Plane, group: Group) -> OrbitData:
     if group.spec != plane.spec:
         raise ValueError("group and plane live over different fields")
     n = plane.n
-    perms = [np.concatenate([point_permutation(plane, g), line_permutation(plane, g) + n]) for g in group.generators]
-    perms = np.array(perms, dtype=np.int16).reshape(-1, 2 * n)
+    perms = np.array([np.concatenate([point_permutation(plane, g), line_permutation(plane, g)]) for g in group.generators])
+    perms = perms.reshape(-1, 2 * n) + np.repeat([0, n], n)  # not int16: line indices pass its range at q >= 131
     # Each round takes the least label over x and its generator images,
     # then the label of that label, so label[x] stays in x's orbit and
     # <= x, and never grows.  A round that changes nothing leaves label <=

@@ -458,8 +458,10 @@ def singer_group():
         lambda: closure(field_for_order(4), [make_element(field_for_order(4), ((0, 1, 0), (0, 0, 1), (2, 0, 0)), frob=1)]),
         lambda: closure(field_for_order(9), [GroupElement(((1, 0, 0), (0, 0, 1), (0, 1, 0)), 1)]),
         singer_group,
+        # 2n = 34586 line-side indices: past the int16 range
+        lambda: closure(Field(131), [make_element(Field(131), ((1, 0, 0), (0, 1, 0), (0, 0, 130)))]),
     ),
-    ids=("trivial-q3", "s3-q7", "semilinear-q4", "semilinear-q9", "singer-183-q13"),
+    ids=("trivial-q3", "s3-q7", "semilinear-q4", "semilinear-q9", "singer-183-q13", "homology-q131"),
 )
 def test_orbits_match_the_images_under_every_element(plane_for, make):
     group = make()
