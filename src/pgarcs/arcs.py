@@ -54,9 +54,8 @@ __all__ = [
     "verify_arc",
 ]
 
-_TUPLE_RE = re.compile(r"\(\d+,\d+,\d+\)")
-_POINT_LINE_RE = re.compile(rf"{_TUPLE_RE.pattern}(?:\s+{_TUPLE_RE.pattern})*")
-_DIGITS_RE = re.compile(r"\d+")
+_TUPLE_RE = re.compile(r"\(\d+,\d+,\d+\)", re.ASCII)
+_SEPARATORS = str.maketrans("(),", "   ")
 
 _DATA = resources.files("pgarcs") / "data"
 
@@ -209,11 +208,13 @@ def parse_arc_file(text: str, plane: Plane | None = None) -> ParsedArc:
     one ``key=value`` per line, split at its first ``=`` with both sides
     stripped; an optional ``group-begin``/``group-end`` block holding generators in
     the group file format, then ``points:`` followed by ``(a,b,c)`` tuples
-    in the field's integer element coding.  Tuples need not be normalized:
-    any nonzero multiple names its point.  A point section with faults
-    reports the earliest faulty tuple in file order, by the first check
-    it fails of: malformed, coordinate out of range, the zero triple,
-    duplicate (a repeated point is reported at its later copy).  When a
+    of the field's element codes in ASCII digits, separated by whitespace
+    and read with one regex pass and one number scan per section; lines
+    are scanned one by one only to name a fault.  Tuples need not be
+    normalized: any nonzero multiple names its point.  A point section
+    with faults reports the earliest faulty tuple in file order, by the
+    first check it fails of: malformed, coordinate out of range, the zero
+    triple, duplicate (a repeated point is reported at its later copy).  When a
     group is present the generators are read here, and the loader checks
     on first use that they stabilize the arc under the column action,
     falling back to the transposed action and recording which one
@@ -254,45 +255,54 @@ def parse_arc_file(text: str, plane: Plane | None = None) -> ParsedArc:
     return ParsedArc(spec=spec, arc=arc, generators=tuple(read_generators(block, spec)))
 
 
+def _well_formed(text):
+    """True when text is ``(a,b,c)`` tuples separated by ASCII whitespace:
+    with every tuple removed only that whitespace is left, and no two
+    tuples touch.  (One match of the whole grammar would keep backtracking
+    state for every tuple, 228 KiB for the q31 section, and raised the
+    peak RSS of a process that reads the corpus.)"""
+    return not _TUPLE_RE.sub("", text).strip(" \t\n\r\f\v") and ")(" not in text
+
+
 def _read_points(point_lines, plane: Plane):
     """The sorted point indices of the ``(a,b,c)`` tuples on the given
     (line number, text) pairs, or ParseError at the earliest faulty one.
 
-    A line is matched whole and its coordinates found in one pass; a
-    line that does not match is split into tokens only to find its first
-    malformed one, and the tuples before it are still checked.  All
-    codes are then computed and looked up as one array, and each check
-    is one scan of a whole list: a coordinate clamped to q, a zero code,
-    a repeated point.  The scans stay off numpy's comparison kernels,
-    whose code pages a first call would add to the resident set."""
+    One `_well_formed` pass checks the joined lines and one C-level number
+    scan reads every coordinate; only a section that fails is walked line
+    by line, to name its first malformed token, and the tuples before it
+    go through the same scan.  A coordinate of q or more shows in the
+    int64 maximum, a reduction `verify_arc` also runs; a zero code and a
+    repeated point are each one scan of a whole list.  No check calls a
+    numpy comparison kernel, whose code pages a first call would add to
+    the resident set.  Lines are counted only to place a fault."""
     q = plane.spec.q
-    small = {str(v): v for v in range(q)}
-    vals, rows, malformed = [], [], None  # coordinates; (line number, its tuples, their count)
-    for lineno, line in point_lines:
-        if not _POINT_LINE_RE.fullmatch(line):
-            tokens = line.split()
-            k = next(i for i, tok in enumerate(tokens) if not _TUPLE_RE.fullmatch(tok))
-            malformed = ParseError(f"malformed point tuple {tokens[k]!r}", lineno)
-            line = " ".join(tokens[:k])
-        digits = _DIGITS_RE.findall(line)
-        coords = list(map(small.get, digits))
-        if None in coords:  # leading zeros or out of range: int() reads it, clamped so int32 holds it
-            coords = [min(int(v), q) for v in digits]
-        vals += coords
-        rows.append((lineno, line, len(coords) // 3))
-        if malformed:
-            break
-    xyz = np.array(vals, dtype=np.int32).reshape(-1, 3)
-    end = vals.index(q) // 3 if q in vals else len(xyz)  # the first tuple out of range
-    codes = ((xyz[:end, 0] * q + xyz[:end, 1]) * q + xyz[:end, 2]).tolist()
-    zero = codes.index(0) if 0 in codes else end  # the first zero triple
+    section, malformed = "\n".join(line for _, line in point_lines), None
+    if not _well_formed(section):
+        at = next(i for i, (_, line) in enumerate(point_lines) if not _well_formed(line))
+        lineno, line = point_lines[at]
+        tokens = re.split(r"\s+", line, flags=re.ASCII)
+        k = next(i for i, tok in enumerate(tokens) if not _TUPLE_RE.fullmatch(tok))
+        malformed = ParseError(f"malformed point tuple {tokens[k]!r}", lineno)
+        point_lines = [*point_lines[:at], (lineno, " ".join(tokens[:k]))]
+        section = "\n".join(line for _, line in point_lines)
+    # strtol reads each number, clamping a longer one to the int64 maximum
+    vals = np.fromstring(section.translate(_SEPARATORS), dtype=np.int64, sep=" ")
+    count = end = len(vals) // 3
+    if count and int(vals.max()) >= q:  # the first tuple out of range
+        end = next(j for j, v in enumerate(vals.tolist()) if v >= q) // 3
+    xyz = vals[: 3 * end].reshape(-1, 3)
+    codes = (xyz[:, 0] * q + xyz[:, 1]) * q + xyz[:, 2]
+    listed = codes.tolist()
+    zero = listed.index(0) if 0 in listed else end  # the first zero triple
     indices = plane.code_index[codes[:zero]].tolist()
 
     def fault(j, message):
-        for lineno, line, count in rows:
-            if j < count:
-                return ParseError(message.format(line.split()[j]), lineno)
-            j -= count
+        for lineno, line in point_lines:
+            tokens = line.split()
+            if j < len(tokens):
+                return ParseError(message.format(tokens[j]), lineno)
+            j -= len(tokens)
 
     if len(set(indices)) < len(indices):
         seen = set()
@@ -302,7 +312,7 @@ def _read_points(point_lines, plane: Plane):
             seen.add(i)
     if zero < end:
         raise fault(zero, "the zero triple is not a point")
-    if end < len(xyz):
+    if end < count:
         raise fault(end, "coordinate out of range in {!r}")
     if malformed:
         raise malformed

@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 ENUMERATION_MAX_P = 13
+STATUSES = (PROVED_INFEASIBLE, FEASIBLE_FOUND, TIMEOUT, "Skipped")  # the statuses of a class record
 
 VERDICT_RIGID = "RigidOrNonexistent"
 VERDICT_LISTED = "RigidOrListedGroups"
@@ -265,8 +266,10 @@ def _solve_class(plane, rep, r, n, budget):
 def _load_checkpoint(path, key):
     """The records a checkpoint holds for the sweep `key`, with the fields
     older records lack; a file from another sweep, or of another shape,
-    or a record filed under another class id or with a budget that is no
-    number, is refused with a ValueError naming it, not replaced."""
+    or a record filed under another class id, with a budget that is no
+    number, a status not in STATUSES, or an `implied_by` that is not null
+    or a lower class solved ProvedInfeasible on a ProvedInfeasible record,
+    is refused with a ValueError naming it, not replaced."""
     if not (path and os.path.exists(path)):
         return {}
     with open(path, encoding="utf-8") as fh:
@@ -282,15 +285,23 @@ def _load_checkpoint(path, key):
     for k, rec in classes.items():
         if not (k.isdecimal() and isinstance(rec, dict) and {"id", "status"} <= rec.keys()):
             raise ValueError(f"checkpoint {path}: class {k!r} is not an integer id with an id and status record")
-        if not (type(rec["id"]) is int and rec["id"] == int(k)):
+        if not (type(rec["id"]) is int and str(rec["id"]) == k):  # one key per class, as the sweep writes it
             raise ValueError(f"checkpoint {path}: class {k!r} holds the record of class {rec['id']!r}")
         if type(rec.get("budget")) not in (int, float, type(None)):
             raise ValueError(f"checkpoint {path}: class {k!r} has budget {rec['budget']!r}, not a number")
+        if rec["status"] not in STATUSES:
+            raise ValueError(f"checkpoint {path}: class {k!r} has status {rec['status']!r}, not one of {STATUSES}")
     records = {int(k): v for k, v in classes.items()}
-    for rec in records.values():
+    for k, rec in classes.items():
         rec.setdefault("symmetry", 1)  # written before the search used any
-        rec.setdefault("implied_by", None)  # written before the sweep implied any
         rec.setdefault("budget", None)  # written before records held it; retried on Timeout
+        src = rec.setdefault("implied_by", None)  # written before the sweep implied any
+        solved = records.get(src) if type(src) is int and src < rec["id"] else None
+        implied = solved and solved["status"] == PROVED_INFEASIBLE and solved.get("implied_by") is None
+        if src is not None and not (implied and rec["status"] == PROVED_INFEASIBLE):
+            raise ValueError(
+                f"checkpoint {path}: class {k!r} is {rec['status']} implied by {src!r}, not a lower solved exclusion"
+            )
     return records
 
 

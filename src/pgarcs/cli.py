@@ -2,12 +2,13 @@
 
 Subcommands: verify, condense, solve, exclude, classify, code, tables.
 Every report is one JSON object (indented, sorted keys) carrying the
-tool version, the field spec and sha256 digests of the input files, so
-long runs stay attributable; it goes to --out or stdout.  condense and
-classify also make an artifact (the system, the class list), which goes
-to --out or stdout, the report then going to stdout or stderr.  exclude
-streams one line to stderr per class solved or implied in this run
-(skipped classes and records reused from a checkpoint print none):
+tool version, the field spec and the sha256 of each input file's bytes,
+read once and those bytes parsed (as UTF-8), so long runs stay
+attributable; it goes to --out or stdout.  condense and classify also
+make an artifact (the system, the class list), which goes to --out or
+stdout, the report then going to stdout or stderr.  exclude streams
+one line to stderr per class solved or implied in this run (skipped
+classes and records reused from a checkpoint print none):
 ``class <id> order <m> ell <ell>: <status> nodes=<k> time=<s>`` for a
 solved class (no time= with --deterministic), and ``class <id> order
 <m>: ProvedInfeasible implied by class <src>`` for a class excluded by
@@ -60,42 +61,43 @@ EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
 
-def _read(path, mode="r"):
-    """The whole file, closed before returning."""
-    with open(path, mode) as fh:
-        return fh.read()
+def _read(path, inputs):
+    """The file's text, decoded as UTF-8 from bytes read once, whose sha256
+    goes into `inputs`: a report names the bytes it parsed."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    inputs[path] = hashlib.sha256(data).hexdigest()
+    return data.decode("utf-8")
 
 
-def _digest(path):
-    return hashlib.sha256(_read(path, "rb")).hexdigest()
-
-
-def _meta(field=None, inputs=()):
+def _meta(field=None, inputs=None):
     meta = {"tool": "pgarcs", "version": __version__}
     if field is not None:
         meta["field"] = field.spec_string()
     if inputs:
-        meta["inputs"] = {p: _digest(p) for p in inputs}
+        meta["inputs"] = inputs
     return meta
 
 
 def cmd_verify(args):
-    pa = parse_arc_file(_read(args.arcfile))
+    inputs = {}
+    pa = parse_arc_file(_read(args.arcfile, inputs))
     if args.group:
-        gens = parse_group_file(_read(args.group), pa.spec)
+        gens = parse_group_file(_read(args.group, inputs), pa.spec)
         _, convention, admitted = admitted_group(pa.arc, gens)
     else:
         convention, admitted = pa.convention, pa.admitted
     report = verify_arc(pa.arc).to_dict()
     report.update(group_admitted=admitted, convention=convention, r_claimed=pa.arc.r_claimed)
-    report["meta"] = _meta(pa.spec, [args.arcfile] + ([args.group] if args.group else []))
+    report["meta"] = _meta(pa.spec, inputs)
     ok = report["is_arc_for_claimed_r"] and report["group_admitted"] in (None, True)
     return (EXIT_OK if ok else EXIT_ERROR), report, None
 
 
 def cmd_condense(args):
     spec = field_for_order(args.q) if args.field is None else parse_field_spec(args.field)
-    gens = parse_group_file(_read(args.group), spec) if args.group else []
+    inputs = {}
+    gens = parse_group_file(_read(args.group, inputs), spec) if args.group else []
     plane = build_plane(spec)
     grp = closure(spec, gens)
     od = orbits(plane, grp)
@@ -105,13 +107,14 @@ def cmd_condense(args):
         "ell": cs.ell,
         "group_order": grp.order,
         "orbit_length_histogram": {str(k): v for k, v in sorted(hist.items())},
-        "meta": _meta(spec, [args.group] if args.group else []),
+        "meta": _meta(spec, inputs),
     }
     return EXIT_OK, summary, format_system(cs)
 
 
 def cmd_solve(args):
-    cs = parse_system(_read(args.system))
+    inputs = {}
+    cs = parse_system(_read(args.system, inputs))
     model = IlpModel(cs)
     if args.target is not None:
         sol = solve_feasible(model, target=args.target, budget=args.budget)
@@ -126,7 +129,7 @@ def cmd_solve(args):
         "x": "".join(str(v) for v in sol.x),
         "nodes": sol.nodes_explored,
         "time": round(sol.wall_time, 3),
-        "meta": _meta(inputs=[args.system]),
+        "meta": _meta(inputs=inputs),
     }
     return (EXIT_INCONCLUSIVE if sol.status == TIMEOUT else EXIT_OK), report, None
 
@@ -173,7 +176,8 @@ def cmd_classify(args):
 
 
 def cmd_code(args):
-    pa = parse_arc_file(_read(args.arcfile))
+    inputs = {}
+    pa = parse_arc_file(_read(args.arcfile, inputs))
     d = min_distance(pa.spec, to_generator_matrix(pa.arc))
     rep = verify_arc(pa.arc)
     payload = {
@@ -182,7 +186,7 @@ def cmd_code(args):
         "d": d,
         "q": pa.spec.q,
         "n_minus_r": rep.n - rep.max_multiplicity,
-        "meta": _meta(pa.spec, [args.arcfile]),
+        "meta": _meta(pa.spec, inputs),
     }
     return EXIT_OK, payload, None
 

@@ -357,6 +357,15 @@ def test_point_reader_names_the_fault_and_its_line(text, line, message):
     assert err.value.line == line
 
 
+# a tuple's codes are ASCII digits and its separators ASCII whitespace,
+# which the number scan reads: anything else makes a malformed token
+@pytest.mark.parametrize(("line", "token"), (("(1,0,0) (\u0663,0,1)", "(\u0663,0,1)"), ("(1,0,0)\xa0(0,1,0)", "(1,0,0)\xa0(0,1,0)")))
+def test_point_tuples_are_ascii(line, token):
+    with pytest.raises(ParseError) as err:
+        parse_arc_file(Q5 + line + "\n")
+    assert str(err.value) == f"line 6: malformed point tuple {token!r}"
+
+
 def reference_points(text, plane):
     """The point section read one token at a time: the sorted point
     indices, or the message of the first fault."""
@@ -380,6 +389,9 @@ def reference_points(text, plane):
     return tuple(sorted(seen)) if seen else "no points given"
 
 
+MALFORMED = ("(1,2)", "(a,0,0)", "1,2,3", "(1,2,3", "((1,2,3)", "(1, 2,3)", "()")
+
+
 def inject(rng, spec, tokens, pool):
     """One fault (or a harmless rewrite) put into the token rows, made
     from a tuple of the pool."""
@@ -387,18 +399,25 @@ def inject(rng, spec, tokens, pool):
     at = rng.randrange(len(tokens[row]) + 1)
     x, y, z = (int(v) for v in re.findall(r"\d+", rng.choice(pool)))
     lam = rng.randrange(1, spec.q)
-    kind = rng.choice(("malformed", "range", "zero", "copy", "scaled", "zeros", "newline"))
+    kinds = ("malformed", "range", "zero", "copy", "scaled", "zeros", "newline", "comment", "comment-line", "tab", "last")
+    kind = rng.choice(kinds)
     tok = {
-        "malformed": rng.choice(("(1,2)", "(a,0,0)", "1,2,3", "(1,2,3", "((1,2,3)", "(1, 2,3)", "()")),
+        "malformed": rng.choice(MALFORMED),
         "range": f"({x},{spec.q + rng.randrange(3)},{z})",
         "zero": "(0,0,0)",
         "copy": f"({x},{y},{z})",
         "scaled": "({},{},{})".format(*(spec.mul_t[lam][c] for c in (x, y, z))),
         "zeros": f"(0{x},{y},00{z})",
-        "newline": "",
-    }[kind]
+        "tab": "\t",
+    }.get(kind)
     if kind == "newline":  # break a row in two
         tokens[row : row + 1] = [tokens[row][:at], tokens[row][at:]]
+    elif kind == "comment":  # a trailing comment, holding a tuple and a fault
+        tokens[row].append(f"# ({x},{y},{z}) (1,2)")
+    elif kind == "comment-line":
+        tokens.insert(row, ["#", f"({x},{y},{z})"])
+    elif kind == "last":  # a fault on the last line only: the whole-section match fails late
+        tokens[-1].append(rng.choice(MALFORMED))
     else:
         tokens[row].insert(at, tok)
 
@@ -413,11 +432,13 @@ def test_point_reader_agrees_with_a_token_loop(plane_for, name):
         for _ in range(rng.randrange(2, 4)):
             inject(rng, plane.spec, tokens, pool)
         text = head + "points:\n" + "\n".join(" ".join(row) for row in tokens) + "\n"
-        try:
-            got = parse_arc_file(text, plane=plane).arc.points
-        except ParseError as err:
-            got = str(err)
-        assert got == reference_points(text, plane)
+        got = []
+        for variant in (text, text.replace("\n", "\r\n")):
+            try:
+                got.append(parse_arc_file(variant, plane=plane).arc.points)
+            except ParseError as err:
+                got.append(str(err))
+        assert got == [reference_points(text, plane)] * 2
 
 
 def test_verify_arc_rejects_a_repeated_index(plane_for):

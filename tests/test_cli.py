@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,7 @@ from pgarcs.classify import enumerate_cyclic_classes, format_class_list
 from pgarcs.condense import parse_system
 from pgarcs.geometry import build_plane
 from pgarcs.group import format_group_file, make_element, transpose_element
-from pgarcs.solver import IlpModel, exhaustive_oracle
+from pgarcs.solver import IlpModel, Solution, exhaustive_oracle
 
 
 def run(capsys, argv):
@@ -36,6 +37,58 @@ def test_solve_deterministic_replays(tmp_path, capsys):
     timed = json.loads(out)
     assert rc == cli.EXIT_OK and timed["time"] >= 0
     assert {k: v for k, v in timed.items() if k != "time"} == report
+
+
+def test_solve_reports_the_digest_of_the_bytes_it_solved(tmp_path, capsys, monkeypatch):
+    system = tmp_path / "q3_r2.sys"
+    assert cli.main(["condense", "--q", "3", "--r", "2", "--out", str(system)]) == cli.EXIT_OK
+    capsys.readouterr()
+    solved = system.read_bytes()
+
+    def rewritten_meanwhile(model, budget):
+        system.write_text("ell=1 q=3 r=2\n")
+        return Solution(x=(1,) * model.n, objective=sum(model.w), status="Optimal")
+
+    monkeypatch.setattr(cli, "solve_max", rewritten_meanwhile)
+    rc, out, _ = run(capsys, ["solve", "--system", str(system)])
+    assert rc == cli.EXIT_OK and system.read_bytes() != solved
+    assert json.loads(out)["meta"]["inputs"] == {str(system): hashlib.sha256(solved).hexdigest()}
+
+
+@pytest.mark.parametrize("command", ("verify", "code", "condense"))
+def test_each_input_is_read_once_and_digested_as_read(tmp_path, capsys, monkeypatch, command):
+    pa = load_corpus_arc("q25_r3_n39.arc")
+    arcfile = corpus_file(tmp_path, "plain.arc", format_arc_file(pa.spec, pa.arc.points, 3, pa.arc.plane))
+    group = tmp_path / "gens.grp"
+    group.write_text(format_group_file(pa.group.generators))
+    paths = {"verify": [arcfile, str(group)], "code": [arcfile], "condense": [str(group)]}[command]
+    argv = {"verify": [arcfile, "--group"], "code": [], "condense": ["--q", "25", "--r", "3", "--group"]}[command]
+    opened = []
+    monkeypatch.setattr(cli, "open", lambda path, mode: opened.append((path, mode)) or open(path, mode), raising=False)
+    rc, out, err = run(capsys, [command, *argv, paths[-1]])
+    assert (rc, opened) == (cli.EXIT_OK, [(path, "rb") for path in paths])
+    report = json.loads(err if command == "condense" else out)
+    assert report["meta"]["inputs"] == {path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in paths}
+
+
+def test_a_crlf_arc_file_reads_as_its_lf_copy(tmp_path, capsys):
+    text = corpus_text("q25_r3_n39.arc")
+    lf, crlf = tmp_path / "lf.arc", tmp_path / "crlf.arc"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    for command in ("verify", "code"):
+        reports = [json.loads(run(capsys, [command, str(path)])[1]) for path in (lf, crlf)]
+        for report in reports:
+            del report["meta"]["inputs"]
+        assert reports[0] == reports[1]
+
+
+def test_a_file_that_is_no_utf_8_is_an_error(tmp_path, capsys):
+    arcfile = tmp_path / "latin1.arc"
+    arcfile.write_bytes(b"q=5\nr=2 # \xe9\npoints:\n(1,0,0)\n")
+    rc, out, err = run(capsys, ["verify", str(arcfile)])
+    assert (rc, out) == (cli.EXIT_ERROR, "")
+    assert err == "error: 'utf-8' codec can't decode byte 0xe9 in position 10: invalid continuation byte\n"
 
 
 @pytest.mark.parametrize(
@@ -140,6 +193,17 @@ def test_exclude_resume_reads_records_written_without_symmetry(tmp_path, capsys)
     assert len(err.splitlines()) == 10  # class 1 is not solved again
 
 
+def test_exclude_resumes_from_the_checkpoint_it_wrote(tmp_path, capsys):
+    # implied records name a lower class solved ProvedInfeasible, so the
+    # checks on resume accept every record the sweep writes
+    path = tmp_path / "checkpoint.json"
+    rc, out, err = run(capsys, EXCLUDE_Q3 + ["--deterministic", "--resume", str(path)])
+    saved = path.read_bytes()
+    assert any(c["implied_by"] is not None for c in json.loads(saved)["classes"].values())
+    assert run(capsys, EXCLUDE_Q3 + ["--deterministic", "--resume", str(path)]) == (rc, out, "")
+    assert path.read_bytes() == saved
+
+
 def test_exclude_resume_retries_a_timeout_only_under_a_larger_budget(tmp_path, capsys):
     path = tmp_path / "checkpoint.json"
     timeout = {"ell": 9, "status": "Timeout", "objective": 4, "nodes": 7, "symmetry": 1, "time": 1.0, "implied_by": None}
@@ -241,6 +305,11 @@ def test_exclude_refuses_the_checkpoint_of_another_sweep(tmp_path, capsys):
     assert path.read_text() == json.dumps({"classes": {}})
 
 
+# a q=3 checkpoint whose class 1 is solved ProvedInfeasible, with more records
+CHECKPOINT_Q3 = '{"key": "q=3 r=2 n=5", "classes": {"1": {"id": 1, "status": "ProvedInfeasible", "implied_by": null}, %s}}'
+IMPLIED = ": class %r is %s implied by %s, not a lower solved exclusion"
+
+
 @pytest.mark.parametrize(
     ("text", "message"),
     (
@@ -257,8 +326,29 @@ def test_exclude_refuses_the_checkpoint_of_another_sweep(tmp_path, capsys):
             ": class '2' holds the record of class 99",
         ),
         (
+            '{"key": "q=3 r=2 n=5", "classes": {"2": {"id": 2, "status": "Timeout"}, "02": {"id": 2, "status": "ProvedInfeasible"}}}',
+            ": class '02' holds the record of class 2",
+        ),
+        (
             '{"key": "q=3 r=2 n=5", "classes": {"2": {"id": 2, "status": "Timeout", "budget": "x"}}}',
             ": class '2' has budget 'x', not a number",
+        ),
+        (
+            '{"key": "q=3 r=2 n=5", "classes": {"3": {"id": 3, "status": "Bogus"}}}',
+            ": class '3' has status 'Bogus', not one of ('ProvedInfeasible', 'FeasibleFound', 'Timeout', 'Skipped')",
+        ),
+        (CHECKPOINT_Q3 % '"2": {"id": 2, "status": "ProvedInfeasible", "implied_by": 99}', IMPLIED % ("2", "ProvedInfeasible", 99)),
+        (CHECKPOINT_Q3 % '"2": {"id": 2, "status": "ProvedInfeasible", "implied_by": 2}', IMPLIED % ("2", "ProvedInfeasible", 2)),
+        (CHECKPOINT_Q3 % '"2": {"id": 2, "status": "ProvedInfeasible", "implied_by": "1"}', IMPLIED % ("2", "ProvedInfeasible", "'1'")),
+        (CHECKPOINT_Q3 % '"2": {"id": 2, "status": "Timeout", "implied_by": 1}', IMPLIED % ("2", "Timeout", 1)),
+        (
+            CHECKPOINT_Q3.replace("ProvedInfeasible", "Timeout", 1) % '"2": {"id": 2, "status": "ProvedInfeasible", "implied_by": 1}',
+            IMPLIED % ("2", "ProvedInfeasible", 1),
+        ),
+        (
+            CHECKPOINT_Q3 % '"2": {"id": 2, "status": "ProvedInfeasible", "implied_by": 1}, "3": '
+            '{"id": 3, "status": "ProvedInfeasible", "implied_by": 2}',
+            IMPLIED % ("3", "ProvedInfeasible", 2),
         ),
         ("not json", " is not JSON: Expecting value: line 1 column 1 (char 0)"),
         (b"\xff\xfe\x00", " is not JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
@@ -270,7 +360,15 @@ def test_exclude_refuses_the_checkpoint_of_another_sweep(tmp_path, capsys):
         "record-without-status",
         "class-key-x",
         "record-of-another-class",
+        "second-key-for-a-class",
         "budget-not-a-number",
+        "status-unknown",
+        "implied-by-no-class",
+        "implied-by-itself",
+        "implied-by-no-integer",
+        "implied-timeout",
+        "implied-by-a-timeout",
+        "implied-by-an-implied-class",
         "not-json",
         "not-utf-8",
     ),
