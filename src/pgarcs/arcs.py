@@ -209,8 +209,8 @@ def parse_arc_file(text: str, plane: Plane | None = None) -> ParsedArc:
     stripped; an optional ``group-begin``/``group-end`` block holding generators in
     the group file format, then ``points:`` followed by ``(a,b,c)`` tuples
     of the field's element codes in ASCII digits, separated by whitespace
-    and read with one regex pass and one number scan per section; lines
-    are scanned one by one only to name a fault.  Tuples need not be
+    and read with one regex pass and one number scan per section; tokens
+    are walked one by one only in a faulty section.  Tuples need not be
     normalized: any nonzero multiple names its point.  A point section
     with faults reports the earliest faulty tuple in file order, by the
     first check it fails of: malformed, coordinate out of range, the zero
@@ -268,57 +268,41 @@ def _read_points(point_lines, plane: Plane):
     """The sorted point indices of the ``(a,b,c)`` tuples on the given
     (line number, text) pairs, or ParseError at the earliest faulty one.
 
-    One `_well_formed` pass checks the joined lines and one C-level number
-    scan reads every coordinate; only a section that fails is walked line
-    by line, to name its first malformed token, and the tuples before it
-    go through the same scan.  A coordinate of q or more shows in the
-    int64 maximum, a reduction `verify_arc` also runs; a zero code and a
-    repeated point are each one scan of a whole list.  No check calls a
-    numpy comparison kernel, whose code pages a first call would add to
-    the resident set.  Lines are counted only to place a fault."""
+    A fast path reads a faultless section: one `_well_formed` pass over
+    the joined lines, one C-level number scan, the range check on the
+    int64 maximum (a reduction `verify_arc` also runs), and one list scan
+    each for a zero code and a repeat, none on a numpy comparison kernel,
+    whose code pages a first call would add to the resident set.  Any
+    other section is walked token by token (split at ASCII whitespace) in
+    file order, each token read by the same number scan, to the first
+    that is malformed, out of range, the zero triple or a point already given."""
     q = plane.spec.q
-    section, malformed = "\n".join(line for _, line in point_lines), None
-    if not _well_formed(section):
-        at = next(i for i, (_, line) in enumerate(point_lines) if not _well_formed(line))
-        lineno, line = point_lines[at]
-        tokens = re.split(r"\s+", line, flags=re.ASCII)
-        k = next(i for i, tok in enumerate(tokens) if not _TUPLE_RE.fullmatch(tok))
-        malformed = ParseError(f"malformed point tuple {tokens[k]!r}", lineno)
-        point_lines = [*point_lines[:at], (lineno, " ".join(tokens[:k]))]
-        section = "\n".join(line for _, line in point_lines)
-    # strtol reads each number, clamping a longer one to the int64 maximum
-    vals = np.fromstring(section.translate(_SEPARATORS), dtype=np.int64, sep=" ")
-    count = end = len(vals) // 3
-    if count and int(vals.max()) >= q:  # the first tuple out of range
-        end = next(j for j, v in enumerate(vals.tolist()) if v >= q) // 3
-    xyz = vals[: 3 * end].reshape(-1, 3)
-    codes = (xyz[:, 0] * q + xyz[:, 1]) * q + xyz[:, 2]
-    listed = codes.tolist()
-    zero = listed.index(0) if 0 in listed else end  # the first zero triple
-    indices = plane.code_index[codes[:zero]].tolist()
-
-    def fault(j, message):
-        for lineno, line in point_lines:
-            tokens = line.split()
-            if j < len(tokens):
-                return ParseError(message.format(tokens[j]), lineno)
-            j -= len(tokens)
-
-    if len(set(indices)) < len(indices):
-        seen = set()
-        for j, i in enumerate(indices):
-            if i in seen:
-                raise fault(j, "duplicate point {}")
-            seen.add(i)
-    if zero < end:
-        raise fault(zero, "the zero triple is not a point")
-    if end < count:
-        raise fault(end, "coordinate out of range in {!r}")
-    if malformed:
-        raise malformed
-    if not indices:
+    section = "\n".join(line for _, line in point_lines)
+    if _well_formed(section):
+        # strtol reads each number, clamping a longer one to the int64 maximum
+        vals = np.fromstring(section.translate(_SEPARATORS), dtype=np.int64, sep=" ")
+        if 0 < len(vals) == 3 * section.count("(") and int(vals.max()) < q:
+            codes = (vals[0::3] * q + vals[1::3]) * q + vals[2::3]
+            indices = plane.code_index[codes].tolist()
+            if 0 not in codes.tolist() and len(set(indices)) == len(indices):
+                return sorted(indices)
+    seen = set()
+    for lineno, line in point_lines:
+        for tok in re.findall(r"\S+", line, re.ASCII):
+            if not _TUPLE_RE.fullmatch(tok):
+                raise ParseError(f"malformed point tuple {tok!r}", lineno)
+            x, y, z = np.fromstring(tok.translate(_SEPARATORS), dtype=np.int64, sep=" ").tolist()
+            if max(x, y, z) >= q:
+                raise ParseError(f"coordinate out of range in {tok!r}", lineno)
+            if not (x or y or z):
+                raise ParseError("the zero triple is not a point", lineno)
+            index = int(plane.code_index[(x * q + y) * q + z])
+            if index in seen:
+                raise ParseError(f"duplicate point {tok}", lineno)
+            seen.add(index)
+    if not seen:
         raise ParseError("no points given")
-    return sorted(indices)
+    return sorted(seen)
 
 
 def format_arc_file(spec: Field, points, r: int, plane: Plane, generators=()) -> str:

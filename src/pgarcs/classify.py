@@ -348,6 +348,8 @@ def run_exclusion(
         raise ValueError(f"threads={threads}: the sweep solves one class at a time")
     if n < 1:
         raise ValueError(f"n={n}: the target must be at least 1")
+    if not math.isfinite(budget_per_class):
+        raise ValueError(f"budget_per_class={budget_per_class}: the budget must be a finite number of seconds")
     classes = enumerate_cyclic_classes(p)
     skip = set(skip)
     unknown = sorted(skip - {rep.class_id for rep in classes if not rep.is_trivial})

@@ -61,13 +61,16 @@ EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
 
-def _read(path, inputs):
-    """The file's text, decoded as UTF-8 from bytes read once, whose sha256
-    goes into `inputs`: a report names the bytes it parsed."""
+def _read(path, inputs, parse):
+    """`parse` applied to the file's UTF-8 text, from bytes read once whose
+    sha256 goes into `inputs`: a report names the bytes it parsed, an error the file."""
     with open(path, "rb") as fh:
         data = fh.read()
     inputs[path] = hashlib.sha256(data).hexdigest()
-    return data.decode("utf-8")
+    try:
+        return parse(data.decode("utf-8"))
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _meta(field=None, inputs=None):
@@ -81,9 +84,9 @@ def _meta(field=None, inputs=None):
 
 def cmd_verify(args):
     inputs = {}
-    pa = parse_arc_file(_read(args.arcfile, inputs))
+    pa = _read(args.arcfile, inputs, parse_arc_file)
     if args.group:
-        gens = parse_group_file(_read(args.group, inputs), pa.spec)
+        gens = _read(args.group, inputs, functools.partial(parse_group_file, spec=pa.spec))
         _, convention, admitted = admitted_group(pa.arc, gens)
     else:
         convention, admitted = pa.convention, pa.admitted
@@ -97,7 +100,7 @@ def cmd_verify(args):
 def cmd_condense(args):
     spec = field_for_order(args.q) if args.field is None else parse_field_spec(args.field)
     inputs = {}
-    gens = parse_group_file(_read(args.group, inputs), spec) if args.group else []
+    gens = _read(args.group, inputs, functools.partial(parse_group_file, spec=spec)) if args.group else []
     plane = build_plane(spec)
     grp = closure(spec, gens)
     od = orbits(plane, grp)
@@ -114,7 +117,7 @@ def cmd_condense(args):
 
 def cmd_solve(args):
     inputs = {}
-    cs = parse_system(_read(args.system, inputs))
+    cs = _read(args.system, inputs, parse_system)
     model = IlpModel(cs)
     if args.target is not None:
         sol = solve_feasible(model, target=args.target, budget=args.budget)
@@ -177,7 +180,7 @@ def cmd_classify(args):
 
 def cmd_code(args):
     inputs = {}
-    pa = parse_arc_file(_read(args.arcfile, inputs))
+    pa = _read(args.arcfile, inputs, parse_arc_file)
     d = min_distance(pa.spec, to_generator_matrix(pa.arc))
     rep = verify_arc(pa.arc)
     payload = {

@@ -5,7 +5,10 @@ Frobenius exponent k; it maps a point x to M . x^(p^k) (coordinatewise
 Frobenius first, then the matrix, acting on column vectors), taken up to
 scalars.  Matrices are stored scalar-normalized: the first nonzero entry
 in row-major order equals 1, which makes equality and hashing of
-projective classes exact.  Groups are built by breadth-first closure from
+projective classes exact.  `cofactor` gives det(m).m^-T, whose rows are
+r1 x r2, r2 x r0 and r0 x r1: the one rule behind line images, inverses
+(its transpose), `det3` and `char_poly`; `_cross` is the same rule over
+numpy arrays.  Groups are built by breadth-first closure from
 generators.  The orbit partition of each side, points and lines, is one
 read-only int16 array of orbit ids, orbits numbered in the order of
 their least members; `orbits` labels both sides in one numpy loop over
@@ -71,28 +74,29 @@ class GroupElement:
     frob: int = 0
 
 
-def det3(spec: Field, m) -> int:
-    mul = spec.mul_t
-    add = spec.add_t
-    neg = spec.neg_t
+def cofactor(spec: Field, m):
+    """The cofactor matrix det(m).m^-T; its rows are r1 x r2, r2 x r0, r0 x r1."""
+    mul, add, neg = spec.mul_t, spec.add_t, spec.neg_t
     (a, b, c), (d, e, f), (g, h, i) = m
-    t1 = mul[a][add[mul[e][i]][neg[mul[f][h]]]]
-    t2 = mul[b][add[mul[d][i]][neg[mul[f][g]]]]
-    t3 = mul[c][add[mul[d][h]][neg[mul[e][g]]]]
-    return add[add[t1][neg[t2]]][t3]
+    return (
+        (add[mul[e][i]][neg[mul[f][h]]], add[mul[f][g]][neg[mul[d][i]]], add[mul[d][h]][neg[mul[e][g]]]),
+        (add[mul[h][c]][neg[mul[i][b]]], add[mul[i][a]][neg[mul[g][c]]], add[mul[g][b]][neg[mul[h][a]]]),
+        (add[mul[b][f]][neg[mul[c][e]]], add[mul[c][d]][neg[mul[a][f]]], add[mul[a][e]][neg[mul[b][d]]]),
+    )
+
+
+def det3(spec: Field, m) -> int:
+    return spec.neg_t[char_poly(spec, m)[0]]  # the constant term is -det(m)
 
 
 def char_poly(spec: Field, m):
     """Monic characteristic polynomial, coefficients low degree first."""
-    mul = spec.mul_t
-    add = spec.add_t
-    neg = spec.neg_t
-    (a, b, c), (d, e, f), (g, h, i) = m
-    tr = add[add[a][e]][i]
-    minors = add[
-        add[add[mul[e][i]][neg[mul[f][h]]]][add[mul[a][i]][neg[mul[c][g]]]]
-    ][add[mul[a][e]][neg[mul[b][d]]]]
-    return (neg[det3(spec, m)], minors, neg[tr], 1)
+    mul, add, neg = spec.mul_t, spec.add_t, spec.neg_t
+    c = cofactor(spec, m)
+    tr = add[add[m[0][0]][m[1][1]]][m[2][2]]
+    minors = add[add[c[0][0]][c[1][1]]][c[2][2]]  # the trace of the cofactor matrix
+    det = add[add[mul[m[0][0]][c[0][0]]][mul[m[0][1]][c[0][1]]]][mul[m[0][2]][c[0][2]]]  # r0 . (r1 x r2)
+    return (neg[det], minors, neg[tr], 1)
 
 
 def matmul3(spec: Field, x, y):
@@ -105,24 +109,6 @@ def matmul3(spec: Field, x, y):
         )
         for i in range(3)
     )
-
-
-def matinv3(spec: Field, m):
-    """Inverse via the adjugate; raises on singular input."""
-    d = det3(spec, m)
-    if d == 0:
-        raise ValueError("matrix is singular")
-    mul = spec.mul_t
-    sub = lambda a, b: spec.add_t[a][spec.neg_t[b]]
-    (a, b, c), (e, f, g), (h, i, j) = m
-    cof = (
-        (sub(mul[f][j], mul[g][i]), sub(mul[c][i], mul[b][j]), sub(mul[b][g], mul[c][f])),
-        (sub(mul[g][h], mul[e][j]), sub(mul[a][j], mul[c][h]), sub(mul[c][e], mul[a][g])),
-        (sub(mul[e][i], mul[f][h]), sub(mul[b][h], mul[a][i]), sub(mul[a][f], mul[b][e])),
-    )
-    dinv = spec.inv_t[d]
-    row = spec.mul_t[dinv]
-    return tuple(tuple(row[v] for v in r) for r in cof)
 
 
 def _is_scalar(m):
@@ -176,8 +162,10 @@ def compose(spec: Field, g: GroupElement, h: GroupElement) -> GroupElement:
 
 
 def inverse(spec: Field, g: GroupElement) -> GroupElement:
+    """The transposed cofactor matrix is the inverse up to a scalar, which
+    the normalization removes; the Frobenius exponent is negated."""
     kinv = (-g.frob) % spec.e
-    mat = mat_frob(spec, matinv3(spec, g.mat), kinv)
+    mat = mat_frob(spec, mat_transpose(cofactor(spec, g.mat)), kinv)
     return GroupElement(_normalize_mat(spec, mat), kinv)
 
 
@@ -204,14 +192,13 @@ def apply_to_point(spec: Field, g: GroupElement, point):
 
 
 def apply_to_line(spec: Field, g: GroupElement, line):
-    """Image line, computed from the inverse transpose of the matrix.
+    """Image line, computed from the cofactor matrix of M.
 
     If y = M x^s then d.x = 0 is equivalent to (M^-T d^s).y = 0, so the
     dual triple transforms by the same recipe with M replaced by its
-    inverse transpose.
+    cofactor matrix det(M).M^-T, whose scalar the normalization removes.
     """
-    m = mat_transpose(matinv3(spec, g.mat))
-    return apply_to_point(spec, GroupElement(m, g.frob), line)
+    return apply_to_point(spec, GroupElement(cofactor(spec, g.mat), g.frob), line)
 
 
 class Group:
@@ -275,9 +262,9 @@ def point_permutation(plane: Plane, g: GroupElement):
 
 
 def line_permutation(plane: Plane, g: GroupElement):
-    """The permutation of line indices, by the inverse transpose of the
-    matrix as in apply_to_line (lines and points share their triples)."""
-    return point_permutation(plane, GroupElement(mat_transpose(matinv3(plane.spec, g.mat)), g.frob))
+    """The permutation of line indices, by the cofactor matrix, M^-T up to a
+    scalar, as in apply_to_line (lines and points share their triples)."""
+    return point_permutation(plane, GroupElement(cofactor(plane.spec, g.mat), g.frob))
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,7 +417,8 @@ def _codes(vecs, q):
 
 
 def _cross(spec: Field, u, v):
-    """Cross products of the rows of u and v, shape (N, 3)."""
+    """Cross products of the rows of u and v, shape (N, 3): the rule of
+    `cofactor`, vectorized over N pairs of rows."""
     add, mul = spec.add_np, spec.mul_np
     neg = mul[spec.p - 1]  # times -1, whose code is p - 1
     return np.stack(

@@ -54,6 +54,7 @@ and no witness.  The list is built when a search first branches.
 from __future__ import annotations
 
 import functools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -512,6 +513,8 @@ def _lns_phase(model, incumbent, budget, deadline):
 
 def _solve(model, budget, target=None):
     """The body of solve_max (target None) and solve_feasible."""
+    if not math.isfinite(budget):
+        raise ValueError(f"budget={budget}: the budget must be a finite number of seconds")
     t0 = time.monotonic()
 
     def done(x, objective, status, nodes, symmetry=1):

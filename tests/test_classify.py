@@ -66,6 +66,14 @@ def test_a_sweep_accepts_only_one_thread():
         run_exclusion(3, 2, 5, threads=2)
 
 
+@pytest.mark.parametrize("budget", (float("inf"), float("nan")))
+def test_a_sweep_needs_a_finite_budget_before_any_solve(tmp_path, budget):
+    path = tmp_path / "checkpoint.json"
+    with pytest.raises(ValueError, match=f"^budget_per_class={budget}: the budget must be a finite number of seconds$"):
+        run_exclusion(3, 2, 5, budget_per_class=budget, checkpoint=str(path), progress=pytest.fail)
+    assert not path.exists()
+
+
 def invertible_matrices(p):
     """Every invertible 3x3 matrix over GF(p), an (N, 3, 3) array of residues."""
     mats = np.array(list(itertools.product(range(p), repeat=9))).reshape(-1, 3, 3)

@@ -88,7 +88,7 @@ def test_a_file_that_is_no_utf_8_is_an_error(tmp_path, capsys):
     arcfile.write_bytes(b"q=5\nr=2 # \xe9\npoints:\n(1,0,0)\n")
     rc, out, err = run(capsys, ["verify", str(arcfile)])
     assert (rc, out) == (cli.EXIT_ERROR, "")
-    assert err == "error: 'utf-8' codec can't decode byte 0xe9 in position 10: invalid continuation byte\n"
+    assert err == f"error: {arcfile}: 'utf-8' codec can't decode byte 0xe9 in position 10: invalid continuation byte\n"
 
 
 @pytest.mark.parametrize(
@@ -288,6 +288,20 @@ def test_exclude_needs_a_positive_target(capsys):
     assert (rc, out, err) == (cli.EXIT_ERROR, "", "error: n=0: the target must be at least 1\n")
 
 
+@pytest.mark.parametrize("budget", ("inf", "nan"))
+def test_solve_and_exclude_need_a_finite_budget(tmp_path, capsys, budget):
+    system = tmp_path / "q3_r2.sys"
+    assert cli.main(["condense", "--q", "3", "--r", "2", "--out", str(system)]) == cli.EXIT_OK
+    capsys.readouterr()
+    message = "the budget must be a finite number of seconds"
+    rc, out, err = run(capsys, ["solve", "--system", str(system), "--budget", budget])
+    assert (rc, out, err) == (cli.EXIT_ERROR, "", f"error: budget={budget}: {message}\n")
+    path = tmp_path / "checkpoint.json"
+    argv = ["exclude", "--q", "3", "--r", "2", "--n", "5", "--budget-per-class", budget, "--resume", str(path)]
+    assert run(capsys, argv) == (cli.EXIT_ERROR, "", f"error: budget_per_class={budget}: {message}\n")
+    assert not path.exists()
+
+
 def test_exclude_refuses_the_checkpoint_of_another_sweep(tmp_path, capsys):
     path = tmp_path / "checkpoint.json"
     argv = ["exclude", "--q", "5", "--r", "2", "--budget-per-class", "10", "--deterministic", "--resume", str(path)]
@@ -438,7 +452,7 @@ def test_solve_rejects_malformed_systems(tmp_path, capsys, text, message):
     system.write_text(text)
     rc, out, err = run(capsys, ["solve", "--system", str(system)])
     assert (rc, out) == (cli.EXIT_ERROR, "")
-    assert err == f"error: {message}\n"
+    assert err == f"error: {system}: {message}\n"
 
 
 def test_solve_reports_a_matrix_entry_past_int64(tmp_path, capsys):
@@ -536,7 +550,17 @@ def test_verify_rejects_a_malformed_arc_file(tmp_path, capsys):
     arcfile = corpus_file(tmp_path, "bad.arc", "q=5\nr=2\npoints:\n(1,0,0) (1,2)\n")
     rc, out, err = run(capsys, ["verify", arcfile])
     assert (rc, out) == (cli.EXIT_ERROR, "")
-    assert err.startswith("error: line 4: malformed point tuple")
+    assert err.startswith(f"error: {arcfile}: line 4: malformed point tuple")
+
+
+def test_a_bad_group_file_is_named(tmp_path, capsys):
+    # verify reads two files: the error names the one at fault
+    arcfile = corpus_file(tmp_path, "q25_r3_n39.arc")
+    group = tmp_path / "bad.grp"
+    group.write_text("1 0 0 0 1 0 0 0 1\n1 0\n")
+    message = f"error: {group}: line 2: expected 9 matrix entries, got 2\n"
+    assert run(capsys, ["verify", arcfile, "--group", str(group)]) == (cli.EXIT_ERROR, "", message)
+    assert run(capsys, ["condense", "--q", "25", "--r", "3", "--group", str(group)]) == (cli.EXIT_ERROR, "", message)
 
 
 def test_classify_writes_the_class_list_and_its_summary(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -15,15 +17,19 @@ from pgarcs.group import (
     GroupElement,
     apply_to_line,
     apply_to_point,
+    char_poly,
     closure,
+    cofactor,
     compose,
     conjugate_element,
     conjugate_group,
+    det3,
     format_group_file,
     identity_element,
     inverse,
     line_permutation,
     make_element,
+    matmul3,
     normalizer_permutations,
     orbits,
     parse_group_file,
@@ -299,6 +305,60 @@ def test_singular_matrix_rejected():
     f = Field(5)
     with pytest.raises(ValueError):
         make_element(f, ((1, 2, 3), (2, 4, 6), (0, 0, 1)))
+
+
+# -- the cofactor rule behind det3, char_poly, inverse and the line maps ----
+
+
+I3, ZERO = ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 0, 0),) * 3
+
+
+def random_matrix(spec, rng):
+    return tuple(tuple(rng.randrange(spec.q) for _ in range(3)) for _ in range(3))
+
+
+def scaled(spec, c, m):
+    return tuple(tuple(spec.mul_t[c][v] for v in row) for row in m)
+
+
+def mat_add(spec, *ms):
+    return tuple(tuple(functools.reduce(lambda a, b: spec.add_t[a][b], vals) for vals in zip(*rows)) for rows in zip(*ms))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27])
+def test_cayley_hamilton_and_the_adjugate_over_every_field(q):
+    # m^3 + c2 m^2 + c1 m + c0 I = 0, and m times the transposed cofactor
+    # matrix is det(m) I, for singular and invertible m alike
+    f, rng = field_for_order(q), random.Random(q)
+    for _ in range(40):
+        m = random_matrix(f, rng)
+        c0, c1, c2, one = char_poly(f, m)
+        m2 = matmul3(f, m, m)
+        assert one == 1 and mat_add(f, matmul3(f, m2, m), scaled(f, c2, m2), scaled(f, c1, m), scaled(f, c0, I3)) == ZERO
+        adjugate = tuple(zip(*cofactor(f, m)))
+        assert matmul3(f, m, adjugate) == scaled(f, det3(f, m), I3)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_det3_vanishes_exactly_on_matrices_with_a_kernel(q):
+    f, rng = field_for_order(q), random.Random(q)
+    vectors = [v for v in itertools.product(range(q), repeat=3) if any(v)]
+    dets = set()
+    for _ in range(300):
+        m = random_matrix(f, rng)
+        kernel = any(matmul3(f, m, [[c, 0, 0] for c in v]) == ZERO for v in vectors)  # m.(v 0 0) = 0
+        dets.add(det3(f, m) == 0)
+        assert (det3(f, m) == 0) is kernel
+    assert dets == {True, False}
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_a_semilinear_element_composed_with_its_inverse_is_the_identity(q):
+    f, rng = field_for_order(q), random.Random(q)
+    for _ in range(30):
+        m = random_invertible(f, rng)
+        g = GroupElement(m.mat, rng.randrange(f.e))
+        assert compose(f, g, inverse(f, g)) == compose(f, inverse(f, g), g) == identity_element(f)
 
 
 # -- the normalizer's permutations of the orbit variables ------------------

@@ -658,3 +658,15 @@ def test_a_solve_accepts_only_one_thread(plane_for):
     with pytest.raises(ValueError):
         solve_max(model, threads=2)
     assert solve_max(model, threads=1).status == OPTIMAL
+
+
+@pytest.mark.parametrize("budget", (float("inf"), float("-inf"), float("nan")))
+def test_a_solve_needs_a_finite_budget(plane_for, budget):
+    model = full_plane_model(plane_for, 2, 2)
+    message = f"^budget={budget}: the budget must be a finite number of seconds$"
+    with pytest.raises(ValueError, match=message):
+        solve_max(model, budget=budget)
+    with pytest.raises(ValueError, match=message):
+        solve_feasible(model, target=0, budget=budget)
+    # a negative budget is finite: the solve ends at once in a timeout
+    assert solve_feasible(model, target=5, budget=-1.0).status == TIMEOUT
