@@ -117,7 +117,8 @@ def format_system(system: CondensedSystem) -> str:
 
 
 def _integers(lineno, text, ell, what):
-    """The ell nonnegative integers of a line; `what` names them in errors."""
+    """The ell integers of a line, each in 0..2**63 - 1 (int64); `what`
+    names them in errors."""
     try:
         values = tuple(int(v) for v in text.split())
     except ValueError:
@@ -126,6 +127,8 @@ def _integers(lineno, text, ell, what):
         raise ParseError(f"{len(values)} {what}, expected ell={ell}", lineno)
     if min(values) < 0:
         raise ParseError(f"{what} must be nonnegative, got {min(values)}", lineno)
+    if max(values) >= 2**63:
+        raise ParseError(f"{what} must be below 2**63, got {max(values)}", lineno)
     return values
 
 
@@ -153,6 +156,6 @@ def parse_system(text: str) -> CondensedSystem:
     rows = [_integers(lineno, row, ell, "entries in a matrix row") for lineno, row in lines[2:]]
     if len(rows) != ell:
         raise ParseError(f"{len(rows)} matrix rows, expected ell={ell}")
-    A = np.array(rows, dtype=np.int64)  # OverflowError past int64
+    A = np.array(rows, dtype=np.int64)
     A.flags.writeable = False
     return CondensedSystem(ell=ell, A=A, w=w, r=r, q=q)

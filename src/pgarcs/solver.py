@@ -1,12 +1,16 @@
 """Exact and budgeted 0/1 maximization of w.x subject to A.x <= r.
 
 Depth-first branch and bound, 1-branch first, with most-fractional
-branching.  Each search keeps one HiGHS LP relaxation and changes one
-column's bounds per step, so every node re-solves warm from the previous
-basis.  No node is pruned on a float: an LP bound is the integer safe
-bound of Neumaier and Shcherbina (Math. Prog. 99, 2004), computed in
-int64 from the scaled, floored row duals, and infeasible fixings are
-caught by integer row loads.  When HiGHS reports no optimum the node
+branching.  Each search keeps one HiGHS LP relaxation, and a node is
+held once, as that LP's column bounds: the fixings are `lo` and `hi`,
+they change along one trail of fixed variables (undone last fixed,
+first freed, right before the next fixing), and the node's weight
+bounds are w.lo and w.hi.  So every node re-solves warm from the
+previous basis.  No node is pruned on a float: an LP bound is the
+integer safe bound of Neumaier and Shcherbina (Math. Prog. 99, 2004),
+computed in int64 from the scaled, floored row duals (the weights sum
+below 2**(63 - CERT_BITS), so it cannot wrap), and infeasible fixings
+are caught by integer row loads.  When HiGHS reports no optimum the node
 branches on its heaviest free variable.  Incumbents come from a
 descending-weight greedy warm start and a seeded ruin-and-recreate phase
 (LNS) whose restart and iteration counts depend only on the budget
@@ -48,7 +52,8 @@ and keeps the stabilizer of j, the 0-child fixes the whole orbit of j to
 0 and keeps the group.  Any selection of the node with some x_i = 1 on that
 orbit is mapped by the group onto one with x_j = 1, feasible, of the
 same weight and still inside the node, so the children lose no optimum
-and no witness.  The list is built when a search first branches.
+and no witness.  The list is built when the root branches, so a search
+that never branches reports symmetry 1.
 """
 
 from __future__ import annotations
@@ -92,8 +97,10 @@ CERT_BITS = 20  # row duals are scaled by 2**CERT_BITS and floored
 
 
 class IlpModel:
-    """max w.x, A.x <= r, x in {0,1}^n, A square, all data nonnegative integers.
-    A is the system's read-only int64 array, shared with the LP, not copied."""
+    """max w.x, A.x <= r, x in {0,1}^n, A square, all data nonnegative integers
+    and w summing below 2**(63 - CERT_BITS), so that the LP's int64
+    certificate cannot wrap.  A is the system's read-only int64 array,
+    shared with the LP, not copied."""
 
     def __init__(self, system: CondensedSystem):
         self.system = system
@@ -105,18 +112,23 @@ class IlpModel:
             raise ValueError("constraint matrix is not ell x ell")
         if (self.A < 0).any() or any(v < 0 for v in self.w):
             raise ValueError("model data must be nonnegative")
-        self._normalizer = system.normalizer
-        self._symmetry = None
+        total = sum(self.w)
+        if total >= 1 << (63 - CERT_BITS):
+            raise ValueError(
+                f"the weights sum to {total}, not below 2**{63 - CERT_BITS}: "
+                f"the LP certificate scales them by 2**{CERT_BITS} in int64"
+            )
+        self._symmetry = system.normalizer  # the listing, until a call completes it
 
     def symmetry(self, deadline=float("inf")):
         """The variable permutations the group's normalizer induces, as an
         int16 array with one row per distinct permutation, or None when the
-        system carries no group or too large a normalizer.  Listed on the
-        first call, which raises BudgetExceededError past the deadline."""
-        if self._normalizer is not None:
-            found = self._normalizer(deadline)
+        system carries no group or too large a normalizer.  Listed by the
+        first call that ends by the deadline; a call past it raises
+        BudgetExceededError and leaves the listing to the next."""
+        if callable(self._symmetry):
+            found = self._symmetry(deadline)
             self._symmetry = None if found is None else found[1]
-            self._normalizer = None
         return self._symmetry
 
     @functools.cached_property
@@ -173,7 +185,8 @@ class _Lp:
         n, r = model.n, model.r
         self.A = model.A
         self.r = r
-        self.w_scaled = np.array(model.w, dtype=np.int64) << CERT_BITS
+        self.w = np.array(model.w, dtype=np.int64)
+        self.w_scaled = self.w << CERT_BITS
         rows, cols = np.nonzero(self.A)
         self.deadline = deadline
         self.highs = h = _highs._Highs()
@@ -189,7 +202,7 @@ class _Lp:
             self.A[rows, cols].astype(np.float64), np.zeros(n, dtype=np.int32),
         )
         if status == _highs.HighsStatus.kError:
-            raise RuntimeError("HiGHS rejected the LP relaxation")
+            raise ValueError("HiGHS rejected the LP relaxation")
         self.lo = np.zeros(n, dtype=np.int64)
         self.hi = np.ones(n, dtype=np.int64)
         # scaled multipliers stay below this, so no int64 sum can overflow
@@ -221,7 +234,7 @@ class _Lp:
         self.highs.setOptionValue("time_limit", self.highs.getRunTime() + left)
         self.highs.run()
         if self.highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
-            return int(self.w_scaled @ self.hi) >> CERT_BITS, None
+            return int(self.w @ self.hi), None
         sol = self.highs.getSolution()
         return self._certify(sol.row_dual), sol.col_value
 
@@ -308,133 +321,107 @@ class _Incumbent:
         return False
 
 
-_UNLISTED = object()  # a search's group until its root first branches
+def _split(group, j):
+    """The orbit of j under `group` and the stabilizer of j, None when
+    trivial."""
+    if group is None:
+        return (j,), None
+    images = group[:, j]
+    stab = group[images == j]
+    return tuple(np.unique(images).tolist()), (stab if len(stab) > 1 else None)
 
 
 class _Search:
     """One depth-first branch-and-bound pass from the root, bounding with
-    its own LP, whose column bounds follow the assignment trail."""
+    its own LP.  A node is held once, in the LP's column bounds: `lp.lo`
+    and `lp.hi` are its fixings, `trail` lists the fixed variables in the
+    order they were fixed, and the packed loads follow the trail.  A stack
+    entry (depth, variables, value, group) is a child: taking it frees
+    every variable fixed since the trail was `depth` long, last fixed
+    first, then fixes `variables` to `value`; `group` is the child's."""
 
     def __init__(self, model, lp, incumbent):
         self.model = model
         self.lp = lp
         self.incumbent = incumbent
-        self.value = [None] * model.n
         self.loads, self.guard, self.col = model.packed
-        self.fixed_w = 0
-        self.sum_free_w = sum(model.w)
+        self.trail = []
         self.nodes = 0
-        self.group = _UNLISTED  # the node's symmetry group, None when trivial
-        self.symmetry = 1  # the group's order at the root
+        self.symmetry = 1  # the order of the root's group
 
-    # -- assignment trail ---------------------------------------------
+    def _fix(self, depth, variables=(), value=0):
+        lp = self.lp
+        while len(self.trail) > depth:
+            j = self.trail.pop()
+            if lp.lo[j]:
+                self.loads -= self.col[j]
+            lp.set_col(j, 0, 1)
+        for j in variables:
+            lp.set_col(j, value, value)
+            if value:
+                self.loads += self.col[j]
+        self.trail += variables
 
-    def _set(self, j, v):
-        self.value[j] = v
-        self.lp.set_col(j, v, v)
-        self.sum_free_w -= self.model.w[j]
-        if v:
-            self.fixed_w += self.model.w[j]
-            self.loads += self.col[j]
-
-    def _unset(self, j):
-        v = self.value[j]
-        self.value[j] = None
-        self.lp.set_col(j, 0, 1)
-        self.sum_free_w += self.model.w[j]
-        if v:
-            self.fixed_w -= self.model.w[j]
-            self.loads -= self.col[j]
-
-    # -- symmetry ---------------------------------------------------------
-
-    def _root_group(self):
-        """The model's symmetry, None when it has no nontrivial permutation."""
-        perms = self.model.symmetry(self.lp.deadline)  # BudgetExceededError past it
-        if perms is None:
-            return None
-        self.symmetry = len(perms)
-        return perms if len(perms) > 1 else None
-
-    def _split(self, j):
-        """The orbit of j under the node's group and the stabilizer of j."""
-        if self.group is None:
-            return (j,), None
-        images = self.group[:, j]
-        stab = self.group[images == j]
-        return tuple(np.unique(images).tolist()), (stab if len(stab) > 1 else None)
-
-    # -- node processing ------------------------------------------------
-
-    def _eval(self, stack, lns):
-        next(islice(lns, self.model.n, self.model.n), None)  # ell LNS moves
-        if self.incumbent.hit:  # the LNS reached the target
+    def _eval(self, stack, lns, group):
+        model, lp, incumbent = self.model, self.lp, self.incumbent
+        next(islice(lns, model.n, model.n), None)  # ell LNS moves
+        if incumbent.hit:  # the LNS reached the target
             return
         self.nodes += 1
-        if time.monotonic() > self.lp.deadline:
+        if time.monotonic() > lp.deadline:
             raise BudgetExceededError("deadline passed in the search")
         if self.loads & self.guard:
             return
-        if self.fixed_w > self.incumbent.objective:
-            x = tuple(v if v else 0 for v in self.value)
-            self.incumbent.offer(x, self.fixed_w)
-        if self.incumbent.hit:
+        fixed_w = int(lp.w @ lp.lo)
+        if fixed_w > incumbent.objective:
+            incumbent.offer(tuple(lp.lo.tolist()), fixed_w)
+            if incumbent.hit:
+                return
+        threshold = incumbent.threshold
+        if int(lp.w @ lp.hi) <= threshold:
             return
-        threshold = self.incumbent.threshold
-        if self.fixed_w + self.sum_free_w <= threshold:
-            return
-        bound, frac = self.lp.solve()
+        bound, frac = lp.solve()
         if bound <= threshold:
             return
+        free = (lp.lo < lp.hi).nonzero()[0].tolist()
         if frac is not None:
-            fracs = [
-                (min(frac[j], 1.0 - frac[j]), j)
-                for j in range(self.model.n)
-                if self.value[j] is None
-            ]
             worst, j_star = max(
-                fracs, key=lambda t: (t[0], self.model.w[t[1]], -t[1])
+                [(min(frac[j], 1.0 - frac[j]), j) for j in free], key=lambda t: (t[0], model.w[t[1]], -t[1])
             )
             if worst <= LP_ROUND_EPS:
-                x = tuple(
-                    v if v is not None else int(round(frac[j]))
-                    for j, v in enumerate(self.value)
-                )
-                if self.model.check_feasible(x):
-                    obj = self.model.objective(x)
-                    self.incumbent.offer(x, obj)
+                x = lp.lo.tolist()
+                for j in free:
+                    x[j] = int(round(frac[j]))
+                if model.check_feasible(x):
+                    obj = model.objective(x)
+                    incumbent.offer(tuple(x), obj)
                     if bound <= max(threshold, obj):
                         return
                 # otherwise branch: the rounding is infeasible or the
                 # certified bound leaves room above it
         else:
-            j_star = max(
-                (j for j in range(self.model.n) if self.value[j] is None),
-                key=lambda j: (self.model.w[j], -j),
-            )
-        if self.group is _UNLISTED:
-            self.group = self._root_group()
-        orbit, stab = self._split(j_star)
-        stack.extend(
-            [("unset", orbit), ("set", orbit, 0, self.group), ("unset", (j_star,)), ("set", (j_star,), 1, stab)]
-        )
+            j_star = max(free, key=lambda j: (model.w[j], -j))
+        if not self.trail:  # the root lists the model's group when it first branches
+            perms = model.symmetry(lp.deadline)  # BudgetExceededError past it
+            if perms is not None:
+                self.symmetry = len(perms)
+                group = perms if len(perms) > 1 else None
+        orbit, stab = _split(group, j_star)
+        depth = len(self.trail)
+        stack += (depth, orbit, 0, group), (depth, (j_star,), 1, stab)
 
     def run(self, lns=()):
         """Search until the tree is exhausted or the incumbent hits its
-        target, advancing the iterator `lns` by ell steps before each node;
-        BudgetExceededError once a node is past the deadline."""
+        target, advancing the iterator `lns` by ell steps before each node,
+        then free the LP; BudgetExceededError once a node is past the
+        deadline."""
         stack = []
-        self._eval(stack, lns)
+        self._eval(stack, lns, None)
         while stack and not self.incumbent.hit:
-            op = stack.pop()
-            if op[0] == "unset":
-                for j in op[1]:
-                    self._unset(j)
-            else:
-                _, js, v, self.group = op
-                for j in js:
-                    self._set(j, v)
-                self._eval(stack, lns)
+            depth, variables, value, group = stack.pop()
+            self._fix(depth, variables, value)
+            self._eval(stack, lns, group)
+        self._fix(0)
 
 
 def _shuffled(items, draws, getrandbits):

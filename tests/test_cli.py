@@ -457,9 +457,29 @@ def test_solve_rejects_malformed_systems(tmp_path, capsys, text, message):
 
 def test_solve_reports_a_matrix_entry_past_int64(tmp_path, capsys):
     system = tmp_path / "big.sys"
-    system.write_text(f"ell=1 q=2 r=1\nw: 1\n{2**63}\n")
-    rc, out, err = run(capsys, ["solve", "--system", str(system)])
-    assert (rc, out) == (cli.EXIT_ERROR, "") and err.startswith("error: ") and "\n" not in err[:-1]
+    for text, message in (
+        (f"ell=1 q=2 r=1\nw: 1\n{2**63}\n", f"line 3: entries in a matrix row must be below 2**63, got {2**63}"),
+        (f"ell=1 q=2 r=1\nw: {2**63}\n1\n", f"line 2: weights must be below 2**63, got {2**63}"),
+    ):
+        system.write_text(text)
+        rc, out, err = run(capsys, ["solve", "--system", str(system)])
+        assert (rc, out, err) == (cli.EXIT_ERROR, "", f"error: {system}: {message}\n")
+
+
+def test_solve_refuses_a_system_its_lp_cannot_hold(tmp_path, capsys):
+    # weights summing past the certificate's int64 range, and a matrix
+    # entry past what HiGHS takes: errors, not a verdict or a traceback
+    system = tmp_path / "big.sys"
+    for text, message in (
+        (
+            f"ell=3 q=2 r=1\nw: {2**43} {2**43} 1\n1 1 0\n1 1 0\n0 0 1\n",
+            f"the weights sum to {2**44 + 1}, not below 2**43: the LP certificate scales them by 2**20 in int64",
+        ),
+        (f"ell=1 q=2 r=1\nw: 1\n{2**50}\n", "HiGHS rejected the LP relaxation"),
+    ):
+        system.write_text(text)
+        rc, out, err = run(capsys, ["solve", "--system", str(system), "--target", str(2**43 + 1), "--deterministic"])
+        assert (rc, out, err) == (cli.EXIT_ERROR, "", f"error: {message}\n")
 
 
 def corpus_file(tmp_path, name, text=None):

@@ -288,6 +288,26 @@ def test_lp_bound_safety_audit(plane_for):
                 assert bound >= exact
 
 
+def test_weights_the_certificate_cannot_scale_are_refused():
+    # the certificate scales w by 2**20 in int64, so a weight sum of 2**43
+    # or more could wrap it; just below, x = 101 is found and proved optimal
+    huge = f"ell=3 q=2 r=1\nw: {2**43} {2**43} 1\n1 1 0\n1 1 0\n0 0 1\n"
+    with pytest.raises(ValueError, match=rf"the weights sum to {2**44 + 1}, not below 2\*\*43"):
+        IlpModel(parse_system(huge))
+    model = IlpModel(parse_system(f"ell=3 q=2 r=1\nw: {2**42} {2**42 - 2} 1\n1 1 0\n1 1 0\n0 0 1\n"))
+    assert sum(model.w) == 2**43 - 1
+    assert lp_bound(model) >= 2**42 + 1
+    assert solve_feasible(model, target=2**42 + 1, budget=5).status == FEASIBLE_FOUND
+    assert solve_feasible(model, target=2**42 + 2, budget=5).status == PROVED_INFEASIBLE
+    assert solve_max(model, budget=5).objective == 2**42 + 1
+
+
+def test_a_matrix_highs_rejects_is_a_value_error():
+    model = IlpModel(parse_system(f"ell=1 q=2 r=1\nw: 1\n{2**50}\n"))
+    with pytest.raises(ValueError, match="HiGHS rejected the LP relaxation"):
+        solve_max(model, budget=5)
+
+
 def test_search_restores_lp_to_fresh_root(plane_for):
     plane = plane_for(5)
     od = orbits(plane, random_cyclic_group(plane.spec, random.Random(16)))
@@ -300,6 +320,7 @@ def test_search_restores_lp_to_fresh_root(plane_for):
         assert search.nodes > 1
         assert list(lp.highs.getLp().col_lower_) == [0.0] * model.n
         assert list(lp.highs.getLp().col_upper_) == [1.0] * model.n
+        assert search.loads == model.packed[0]
         assert lp.solve()[0] == fresh_bound
 
 
@@ -403,6 +424,26 @@ def test_search_branches_to_the_optimum_without_lp_optima(plane_for):
     search.run()  # raises BudgetExceededError on a timeout
     assert search.incumbent.objective == exhaustive_oracle(model).objective
     assert model.check_feasible(search.incumbent.x)
+
+
+def test_a_1_childs_fixings_reach_the_target(plane_for):
+    # without the LNS, from an empty incumbent: the q7 involution's
+    # 1-child fixings weigh 12 before any LP rounding does, and the search
+    # stops there with them as its incumbent
+    model = cyclic_model(plane_for, 7, C0_Q7, 3)
+    lp = _Lp(model)
+    offers = []
+
+    class Recording(_Incumbent):
+        def offer(self, x, objective):
+            offers.append((x, tuple(lp.lo.tolist())))
+            return super().offer(x, objective)
+
+    search = _Search(model, lp, Recording((0,) * model.n, 0, 12))
+    search.run()
+    assert search.incumbent.hit and search.nodes == 10
+    assert offers[-1] == (search.incumbent.x, search.incumbent.x)
+    assert model.check_feasible(search.incumbent.x) and model.objective(search.incumbent.x) == 12
 
 
 def lns_trajectory(model, budget, target=None):
